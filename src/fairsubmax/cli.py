@@ -7,8 +7,9 @@ distribution solver), ``oracle`` (brute-force reference LP), ``check``
 over a directory of instances and print a comparison table).
 
 Exit codes: 0 on success, 1 when the instance is infeasible for the chosen
-solver, 2 on input errors.  With ``--format json`` the output is byte
-identical across runs with the same arguments, files, and seed.
+solver, 2 on input and configuration errors.  With ``--format json`` the
+output is byte identical across runs with the same arguments, files, and
+seed.
 """
 
 from __future__ import annotations
@@ -83,15 +84,22 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--instance", required=True, help="instance file (directory for bench)")
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
         p.add_argument("--format", choices=("table", "json"), default="table")
-        p.add_argument("--seed", type=int, default=0, help="seed for all randomized estimation")
+        p.add_argument(
+            "--seed", type=int, default=0,
+            help="Monte Carlo seed, used only for objectives without a closed form",
+        )
         p.add_argument("--delta", type=int, default=None, help="continuous greedy iteration count")
-        p.add_argument("--samples", type=int, default=10_000, help="Monte Carlo sample count")
+        p.add_argument(
+            "--samples", type=int, default=10_000,
+            help="Monte Carlo sample count, used only for objectives without a closed form",
+        )
         p.add_argument("--epsilon-l", type=float, default=None, help="binary search precision")
         p.add_argument(
             "--oracle-mode", choices=("exact", "heuristic", "auto"), default="auto"
         )
         p.add_argument("--enum-budget", type=int, default=1_000_000)
-        p.add_argument("--trace", default=None, help="write a line-delimited JSON run trace")
+        if name == "solve-det":
+            p.add_argument("--trace", default=None, help="write a line-delimited JSON run trace")
         if name == "check":
             p.add_argument("--result", required=True, help="result file to audit")
     return parser

@@ -23,9 +23,9 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import GroupStructureError, InfeasibleRelaxation
+from .errors import ConfigError, GroupStructureError, InfeasibleRelaxation
 from .instance import Instance, group_counts
-from .lp import FEAS_TOL, FairnessPolytope, check_nonempty, maximize_linear
+from .lp import FEAS_TOL, FairnessPolytope, allocate_linear, check_nonempty
 from .objectives import (
     DEFAULT_ESTIMATION,
     EstimationConfig,
@@ -53,10 +53,10 @@ class ContinuousGreedyConfig:
     def resolve(self, item_count: int) -> tuple[int, float]:
         delta = self.delta if self.delta is not None else 9 * item_count * item_count
         if delta < 1:
-            raise ValueError("delta must be at least 1")
+            raise ConfigError("delta must be at least 1")
         step = self.step_scale if self.step_scale is not None else 1.0 / delta
         if step <= 0 or step * delta > 1.0 + 1e-12:
-            raise ValueError("step_scale * delta must stay within 1")
+            raise ConfigError("step_scale * delta must stay within 1")
         return delta, step
 
 
@@ -124,18 +124,15 @@ def continuous_greedy(
     point is a convex combination of vertices, hence a polytope member.
     """
     cfg = cfg or ContinuousGreedyConfig()
+    n = instance.item_count
+    delta, step = cfg.resolve(n)
     polytope = FairnessPolytope.from_instance(instance)
     _require_disjoint_covering(polytope)
     check_nonempty(polytope)
-    n = instance.item_count
-    delta, step = cfg.resolve(n)
 
     y = np.zeros(n)
     for round_index in range(delta):
-        weights = np.array(
-            [oracle.extension_marginal(i, y, cfg.estimation).value for i in range(n)]
-        )
-        z = maximize_linear(weights, polytope)
+        z = allocate_linear(oracle.extension_gradient(y, cfg.estimation), polytope)
         y = y + step * z
         if on_iteration is not None:
             on_iteration(

@@ -5,6 +5,10 @@ class FairSubmaxError(Exception):
     """Base class for every error raised by this library."""
 
 
+class ConfigError(FairSubmaxError, ValueError):
+    """A solver or estimation setting is out of range."""
+
+
 class InvalidInstance(FairSubmaxError):
     """Instance data violates a structural invariant."""
 

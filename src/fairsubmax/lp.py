@@ -299,6 +299,15 @@ def maximize_linear(weights, polytope: FairnessPolytope) -> np.ndarray:
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (polytope.item_count,):
         raise ValueError("one weight per item required")
+    return allocate_linear(weights, polytope)
+
+
+def allocate_linear(weights: np.ndarray, polytope: FairnessPolytope) -> np.ndarray:
+    """The greedy allocation of ``maximize_linear`` without its checks.
+
+    The caller guarantees disjoint covering groups, a non-empty polytope and
+    one float weight per item.
+    """
     if np.any(weights < 0):
         logger.debug(
             "clamping %d negative weights (min %.3e) to zero",

@@ -10,11 +10,14 @@ Three oracle families are provided:
 
 Every oracle also evaluates the multilinear extension ``F(y)``, the expected
 value of ``f`` over the random set that includes item ``i`` independently
-with probability ``y_i``.  Coverage and modular objectives have closed
-forms; facility location falls back to full enumeration for small ground
-sets and to seeded Monte Carlo otherwise.  Marginals of the extension use
-common random numbers across the two estimated terms so that comparisons
-between candidate points are stable.
+with probability ``y_i``.  All three families have exact closed forms, and
+``extension_gradient`` returns every item's extension marginal
+``F(e_i v y) - F(y)`` from one vector expression.  Oracles without a closed
+form fall back to full enumeration for small ground sets and to seeded
+Monte Carlo otherwise; ``EstimationConfig.force_monte_carlo`` sends every
+family down that path.  Monte Carlo marginals use common random numbers
+across the two estimated terms so that comparisons between candidate points
+are stable.
 
 Oracles are immutable after construction and safe to share between
 concurrent callers; Monte Carlo estimation is fully determined by the seed
@@ -30,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidInstance, ParseError
+from .errors import ConfigError, InvalidInstance, ParseError
 
 #: accepted slack on extension coordinates before they are rejected
 POINT_TOL = 1e-9
@@ -46,9 +49,10 @@ _BATCH_CHUNK = 8192
 class EstimationConfig:
     """Controls how multilinear extensions are estimated.
 
-    ``samples`` and ``seed`` drive the Monte Carlo path, ``exact_threshold``
-    is the largest ground set for which full enumeration replaces sampling,
-    and ``force_monte_carlo`` routes even closed-form objectives through the
+    ``samples`` and ``seed`` drive the Monte Carlo path and
+    ``exact_threshold`` is the largest ground set for which full enumeration
+    replaces sampling; both matter only for oracles without a closed form.
+    ``force_monte_carlo`` routes even closed-form objectives through the
     sampling path (useful to exercise estimator behaviour).
     """
 
@@ -86,8 +90,9 @@ class ObjectiveOracle(ABC):
 
     Subclasses implement ``_evaluate_ids`` and may override the incremental
     ``_marginal_ids`` and the batched ``_evaluate_selection_matrix`` hooks
-    for speed.  All public entry points validate item ids against the
-    ground set ``0 .. item_count - 1``.
+    for speed, and ``_closed_form_extension`` / ``_closed_form_gradient``
+    when the extension has a closed form.  All public entry points validate
+    item ids against the ground set ``0 .. item_count - 1``.
     """
 
     kind: str = "abstract"
@@ -151,8 +156,26 @@ class ObjectiveOracle(ABC):
     ) -> ExtensionEstimate:
         """Estimate F(e_item v y) - F(y), the extension marginal of one item."""
         cfg = cfg or DEFAULT_ESTIMATION
-        item = self._check_item(item)
+        return self._extension_marginal_point(self._check_item(item), self._check_point(y), cfg)
+
+    def extension_gradient(self, y, cfg: EstimationConfig | None = None) -> np.ndarray:
+        """Return every item's extension marginal ``F(e_i v y) - F(y)`` at once.
+
+        ``y`` is validated once.  Families with a closed form answer in one
+        vector expression; otherwise, and under ``force_monte_carlo``, entry
+        ``i`` equals ``extension_marginal(i, y, cfg).value`` bit for bit.
+        """
+        cfg = cfg or DEFAULT_ESTIMATION
         y = self._check_point(y)
+        if not cfg.force_monte_carlo:
+            gradient = self._closed_form_gradient(y)
+            if gradient is not None:
+                return gradient
+        return np.array([self._extension_marginal_point(i, y, cfg).value for i in range(self._n)])
+
+    def _extension_marginal_point(
+        self, item: int, y: np.ndarray, cfg: EstimationConfig
+    ) -> ExtensionEstimate:
         y_up = y.copy()
         y_up[item] = 1.0
         if not cfg.force_monte_carlo:
@@ -167,6 +190,10 @@ class ObjectiveOracle(ABC):
 
     def _closed_form_extension(self, y: np.ndarray) -> float | None:
         """Closed-form F(y) if this family has one, else None."""
+        return None
+
+    def _closed_form_gradient(self, y: np.ndarray) -> np.ndarray | None:
+        """Closed-form extension marginals of all items if this family has them, else None."""
         return None
 
     def _enumeration_extension(self, y: np.ndarray) -> float:
@@ -190,7 +217,7 @@ class ObjectiveOracle(ABC):
 
     def _draw_selections(self, y: np.ndarray, cfg: EstimationConfig) -> np.ndarray:
         if cfg.samples < 2:
-            raise ValueError("Monte Carlo estimation needs at least two samples")
+            raise ConfigError("Monte Carlo estimation needs at least two samples")
         rng = np.random.default_rng(cfg.seed)
         return rng.random((cfg.samples, self._n)) < y
 
@@ -278,10 +305,16 @@ class CoverageObjective(ObjectiveOracle):
             gained &= ~self._incidence[:, ids].any(axis=1)
         return float(self._weights @ gained.astype(float))
 
-    def _closed_form_extension(self, y: np.ndarray) -> float:
+    def _uncovered(self, y: np.ndarray) -> np.ndarray:
         # P(element u uncovered) = prod over covering items of (1 - y_i)
-        uncovered = np.where(self._incidence, (1.0 - y)[None, :], 1.0).prod(axis=1)
-        return float(self._weights @ (1.0 - uncovered))
+        return np.where(self._incidence, (1.0 - y)[None, :], 1.0).prod(axis=1)
+
+    def _closed_form_extension(self, y: np.ndarray) -> float:
+        return float(self._weights @ (1.0 - self._uncovered(y)))
+
+    def _closed_form_gradient(self, y: np.ndarray) -> np.ndarray:
+        # raising y_i to one covers every still-uncovered element of item i
+        return (self._weights * self._uncovered(y)) @ self._incidence
 
     def _evaluate_selection_matrix(self, selections: np.ndarray) -> np.ndarray:
         covered = selections.astype(float) @ self._incidence.T.astype(float) > 0
@@ -324,6 +357,9 @@ class ModularObjective(ObjectiveOracle):
     def _closed_form_extension(self, y: np.ndarray) -> float:
         return float(self._weights @ y)
 
+    def _closed_form_gradient(self, y: np.ndarray) -> np.ndarray:
+        return self._weights * (1.0 - y)
+
     def _evaluate_selection_matrix(self, selections: np.ndarray) -> np.ndarray:
         return selections.astype(float) @ self._weights
 
@@ -332,7 +368,13 @@ class ModularObjective(ObjectiveOracle):
 
 
 class FacilityLocationObjective(ObjectiveOracle):
-    """Facility location over a non-negative similarity matrix (rows, items)."""
+    """Facility location over a non-negative similarity matrix (rows, items).
+
+    The extension has a closed form per row: with the row's similarities in
+    descending order ``s_(1) >= s_(2) >= ...``, the row contributes
+    ``s_(k)`` exactly when item ``(k)`` is the first selected one, so
+    ``F(y) = sum_r sum_k s_(k) y_(k) prod_{j<k} (1 - y_(j))``.
+    """
 
     kind = "facility_location"
 
@@ -344,6 +386,8 @@ class FacilityLocationObjective(ObjectiveOracle):
         if np.any(similarity < 0):
             raise InvalidInstance("similarity entries must be non-negative")
         self._similarity = similarity
+        self._order = np.argsort(-similarity, axis=1, kind="stable")
+        self._sorted = np.take_along_axis(similarity, self._order, axis=1)
 
     def _evaluate_ids(self, ids: np.ndarray) -> float:
         if ids.size == 0:
@@ -356,6 +400,25 @@ class FacilityLocationObjective(ObjectiveOracle):
         else:
             current = self._similarity[:, ids].max(axis=1)
         return float(np.maximum(self._similarity[:, item] - current, 0.0).sum())
+
+    def _row_terms(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per row, in descending similarity order: y_(k), prod_{j<k} (1 - y_(j)), and the terms."""
+        ys = y[self._order]
+        before = np.ones_like(ys)
+        before[:, 1:] = np.cumprod(1.0 - ys[:, :-1], axis=1)
+        return ys, before, self._sorted * ys * before
+
+    def _closed_form_extension(self, y: np.ndarray) -> float:
+        # rows first, then over rows, as in _evaluate_ids: exact at 0/1 points
+        return float(self._row_terms(y)[2].sum(axis=1).sum())
+
+    def _closed_form_gradient(self, y: np.ndarray) -> np.ndarray:
+        # raising y_(p) to one makes s_(p) the row's value whenever no item
+        # above p is drawn, which replaces term p and every term below it
+        ys, before, terms = self._row_terms(y)
+        gains = self._sorted * before * (1.0 - ys)
+        gains[:, :-1] -= np.cumsum(terms[:, :0:-1], axis=1)[:, ::-1]
+        return np.bincount(self._order.ravel(), weights=gains.ravel(), minlength=self._n)
 
     def _evaluate_selection_matrix(self, selections: np.ndarray) -> np.ndarray:
         out = np.empty(selections.shape[0])

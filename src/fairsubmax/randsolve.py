@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EnumerationBudgetExceeded, InfeasibleInstance
+from .errors import ConfigError, EnumerationBudgetExceeded, InfeasibleInstance
 from .instance import (
     DEFAULT_ENUMERATION_BUDGET,
     Instance,
@@ -102,11 +102,11 @@ class EllipsoidConfig:
 
     def __post_init__(self) -> None:
         if self.epsilon_l is not None and self.epsilon_l <= 0:
-            raise ValueError("epsilon_l must be positive")
+            raise ConfigError("epsilon_l must be positive")
         if self.max_iters is not None and self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+            raise ConfigError("max_iters must be at least 1")
         if self.oracle_mode not in _MODES:
-            raise ValueError(f"oracle_mode must be one of {_MODES}")
+            raise ConfigError(f"oracle_mode must be one of {_MODES}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -81,6 +81,25 @@ class TestSolveCommands:
         code, _, err = run(capsys, "solve-det", "--instance", str(bad))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "command, flag", [("solve-det", "--delta"), ("solve-rand", "--epsilon-l")]
+    )
+    def test_bad_config_exits_2_with_one_error_line(self, capsys, fixtures_dir, command, flag):
+        code, out, err = run(
+            capsys, command, "--instance", str(fixtures_dir / "toy3.json"), flag, "0",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_trace_rejected_where_not_written(self, capsys, fixtures_dir, tmp_path):
+        trace = tmp_path / "trace.ldjson"
+        code, _, err = run(
+            capsys, "solve-greedy", "--instance", str(fixtures_dir / "toy3.json"),
+            "--trace", str(trace),
+        )
+        assert code == 2 and "--trace" in err
+        assert not trace.exists()
+
     def test_byte_identical_json_outputs(self, capsys, fixtures_dir):
         _, first, _ = run(
             capsys, "solve-rand", "--instance", str(fixtures_dir / "rand2.json"),

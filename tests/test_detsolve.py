@@ -148,7 +148,7 @@ class TestPipage:
         rng = np.random.default_rng(61)
         inst = make_instance(5, [({0, 1, 2}, 1, 2), ({3, 4}, 0, 2)], 3)
         oracle = FacilityLocationObjective(rng.uniform(0, 2, size=(6, 5)))
-        estimation = EstimationConfig(samples=3000, seed=2, exact_threshold=2)
+        estimation = EstimationConfig(samples=3000, seed=2, force_monte_carlo=True)
         y = np.array([0.6, 0.4, 0.3, 0.5, 0.2])
         solution = pipage_round(y, inst, oracle, estimation)
         assert solution.within_relaxed_bounds(inst)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fairsubmax import (
+    ConfigError,
     CoverageObjective,
     EstimationConfig,
     FacilityLocationObjective,
@@ -103,16 +104,31 @@ class TestExtension:
                 enumerated = oracle._enumeration_extension(y)
                 assert closed == pytest.approx(enumerated, abs=1e-9)
 
-    def test_facility_location_small_uses_enumeration(self):
+    def test_facility_location_uses_closed_form(self):
         rng = np.random.default_rng(9)
-        oracle = FacilityLocationObjective(rng.uniform(0, 1, size=(4, 5)))
-        est = oracle.extension(rng.random(5))
-        assert est.exact
+        for n in (5, 30):
+            oracle = FacilityLocationObjective(rng.uniform(0, 1, size=(4, n)))
+            est = oracle.extension(rng.random(n))
+            assert est.exact
+
+    def test_facility_location_closed_form_matches_enumeration(self):
+        rng = np.random.default_rng(41)
+        for n in range(2, 13):
+            rows = int(rng.integers(1, n + 2))
+            # integer similarities put ties inside the descending row orders
+            if n % 2:
+                similarity = rng.integers(0, 3, size=(rows, n)).astype(float)
+            else:
+                similarity = rng.uniform(0, 2, size=(rows, n))
+            oracle = FacilityLocationObjective(similarity)
+            y = random_point(rng, n)
+            enumerated = oracle._enumeration_extension(y)
+            assert oracle.extension(y).value == pytest.approx(enumerated, abs=1e-12)
 
     def test_facility_location_above_threshold_uses_monte_carlo(self):
         rng = np.random.default_rng(9)
         oracle = FacilityLocationObjective(rng.uniform(0, 1, size=(4, 6)))
-        cfg = EstimationConfig(samples=4000, seed=1, exact_threshold=4)
+        cfg = EstimationConfig(samples=4000, seed=1, force_monte_carlo=True)
         est = oracle.extension(rng.random(6), cfg)
         assert not est.exact and est.stderr > 0
 
@@ -120,7 +136,7 @@ class TestExtension:
         rng = np.random.default_rng(21)
         oracle = FacilityLocationObjective(rng.uniform(0, 1, size=(5, 6)))
         y = rng.random(6)
-        cfg = EstimationConfig(samples=20_000, seed=3, exact_threshold=4)
+        cfg = EstimationConfig(samples=20_000, seed=3, force_monte_carlo=True)
         est = oracle.extension(y, cfg)
         exact = oracle._enumeration_extension(y)
         assert abs(est.value - exact) <= 4 * est.stderr
@@ -155,6 +171,74 @@ class TestExtensionMarginal:
             y = rng.random(7)
             i = int(rng.integers(7))
             assert oracle.extension_marginal(i, y).value >= 0.0
+
+
+class TestExtensionGradient:
+    @pytest.mark.parametrize("family", ["coverage", "modular", "facility"])
+    def test_matches_per_item_marginals(self, family):
+        rng = np.random.default_rng(40)
+        for n in range(2, 13):
+            for _ in range(5):
+                oracle = random_oracle(rng, family, n)
+                y = random_point(rng, n)
+                expected = [oracle.extension_marginal(i, y).value for i in range(n)]
+                gradient = oracle.extension_gradient(y)
+                np.testing.assert_allclose(gradient, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("family", ["coverage", "modular", "facility", "no-closed-form"])
+    def test_sampled_or_enumerated_gradient_is_the_per_item_loop(self, family):
+        rng = np.random.default_rng(42)
+        for n in (2, 7, 12):
+            oracle = random_oracle(rng, family, n)
+            y = random_point(rng, n)
+            cfgs = [EstimationConfig(samples=300, seed=n, force_monte_carlo=True)]
+            if family == "no-closed-form":
+                cfgs.append(EstimationConfig())  # n <= exact_threshold: enumeration
+                cfgs.append(EstimationConfig(samples=300, seed=n, exact_threshold=1))
+            for cfg in cfgs:
+                loop = [oracle.extension_marginal(i, y, cfg).value for i in range(n)]
+                assert np.array_equal(oracle.extension_gradient(y, cfg), loop)
+
+    def test_out_of_range_coordinate(self):
+        with pytest.raises(ValueError):
+            toy3_oracle().extension_gradient([0.5, 1.2, 0.0])
+
+    def test_monte_carlo_needs_two_samples(self):
+        cfg = EstimationConfig(samples=1, force_monte_carlo=True)
+        with pytest.raises(ConfigError):
+            toy3_oracle().extension_gradient([0.5, 0.5, 0.0], cfg)
+        # closed forms never sample, so the setting is not consulted
+        gradient = toy3_oracle().extension_gradient([0.5, 0.5, 0.0], EstimationConfig(samples=1))
+        assert gradient.size == 3
+
+
+class _EnumeratedCoverage(CoverageObjective):
+    """Coverage with its closed forms hidden: a family without one."""
+
+    def _closed_form_extension(self, y):
+        return None
+
+    def _closed_form_gradient(self, y):
+        return None
+
+
+def random_oracle(rng, family, n):
+    if family == "coverage":
+        return random_coverage(rng, n)
+    if family == "modular":
+        return random_modular(rng, n)
+    if family == "facility":
+        return FacilityLocationObjective(rng.uniform(0, 2, size=(int(rng.integers(1, n + 2)), n)))
+    base = random_coverage(rng, n)
+    return _EnumeratedCoverage(n, base._weights, base._incidence)
+
+
+def random_point(rng, n):
+    """A point in [0, 1]^n with some coordinates at exactly 0 or 1."""
+    y = rng.random(n)
+    y[rng.random(n) < 0.2] = 0.0
+    y[rng.random(n) < 0.2] = 1.0
+    return y
 
 
 class TestProperties:
