@@ -65,43 +65,49 @@ def main(argv=None) -> int:
         return 2
 
 
+#: every flag a subcommand may take beyond --instance, --out and --format
+_FLAGS = {
+    "--seed": dict(
+        type=int, default=0,
+        help="Monte Carlo seed, used only for objectives without a closed form",
+    ),
+    "--delta": dict(type=int, default=None, help="continuous greedy iteration count"),
+    "--samples": dict(
+        type=int, default=10_000,
+        help="Monte Carlo sample count, used only for objectives without a closed form",
+    ),
+    "--epsilon-l": dict(type=float, default=None, help="binary search precision"),
+    "--oracle-mode": dict(choices=("exact", "heuristic", "auto"), default="auto"),
+    "--enum-budget": dict(type=int, default=1_000_000, help="enumeration budget, at least 1"),
+    "--trace": dict(default=None, help="write a line-delimited JSON run trace"),
+    "--result": dict(required=True, help="result file to audit"),
+}
+
+_DET_FLAGS = ("--seed", "--delta", "--samples")
+_RAND_FLAGS = ("--epsilon-l", "--oracle-mode", "--enum-budget")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fairsubmax",
         description="Solvers for fair submodular maximization with group fairness windows.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler, help_text in (
-        ("solve-det", _cmd_solve_det, "continuous greedy + pipage rounding"),
-        ("solve-greedy", _cmd_solve_greedy, "fast matroid greedy"),
-        ("solve-rand", _cmd_solve_rand, "randomized distribution solver"),
-        ("oracle", _cmd_oracle, "brute-force reference LP"),
-        ("check", _cmd_check, "audit a result file against an instance"),
-        ("bench", _cmd_bench, "run all solvers on an instance directory"),
+    for name, handler, help_text, flags in (
+        ("solve-det", _cmd_solve_det, "continuous greedy + pipage rounding", _DET_FLAGS + ("--trace",)),
+        ("solve-greedy", _cmd_solve_greedy, "fast matroid greedy", ()),
+        ("solve-rand", _cmd_solve_rand, "randomized distribution solver", _RAND_FLAGS),
+        ("oracle", _cmd_oracle, "brute-force reference LP", ("--enum-budget",)),
+        ("check", _cmd_check, "audit a result file against an instance", ("--result",)),
+        ("bench", _cmd_bench, "run all solvers on an instance directory", _DET_FLAGS + _RAND_FLAGS),
     ):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         p.add_argument("--instance", required=True, help="instance file (directory for bench)")
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
         p.add_argument("--format", choices=("table", "json"), default="table")
-        p.add_argument(
-            "--seed", type=int, default=0,
-            help="Monte Carlo seed, used only for objectives without a closed form",
-        )
-        p.add_argument("--delta", type=int, default=None, help="continuous greedy iteration count")
-        p.add_argument(
-            "--samples", type=int, default=10_000,
-            help="Monte Carlo sample count, used only for objectives without a closed form",
-        )
-        p.add_argument("--epsilon-l", type=float, default=None, help="binary search precision")
-        p.add_argument(
-            "--oracle-mode", choices=("exact", "heuristic", "auto"), default="auto"
-        )
-        p.add_argument("--enum-budget", type=int, default=1_000_000)
-        if name == "solve-det":
-            p.add_argument("--trace", default=None, help="write a line-delimited JSON run trace")
-        if name == "check":
-            p.add_argument("--result", required=True, help="result file to audit")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -236,8 +242,9 @@ def _cmd_solve_rand(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    budget = EllipsoidConfig(enumeration_budget=args.enum_budget).enumeration_budget  # range check
     instance, oracle = _load(args.instance)
-    distribution, optimum = brute_force_lp(instance, oracle, args.enum_budget)
+    distribution, optimum = brute_force_lp(instance, oracle, budget)
     payload = _distribution_payload(distribution, instance, oracle)
     payload["optimum"] = optimum
     _emit(args, payload, _distribution_table(payload))
@@ -285,6 +292,7 @@ def _cmd_bench(args) -> int:
     paths = sorted(directory.glob("*.json"))
     if not paths:
         raise ParseError(f"{directory}: no instance files found")
+    _ellipsoid_config(args)  # a bad setting exits 2 here, not as an error row per instance
     rows = []
     for path in paths:
         instance, oracle = _load(path)

@@ -283,31 +283,41 @@ def fast_greedy(instance: Instance, oracle: ObjectiveOracle) -> DeterministicSol
 
     Items are added (ties toward lower ids) while any feasible addition
     exists, so every group reaches its floored lower bound by maximality.
+    Group counts are kept incrementally, so each pick tests every candidate
+    at once against the ``matroid_independent`` rule and makes one batched
+    marginal call.
     """
     polytope = FairnessPolytope.from_instance(instance)
     _require_disjoint_covering(polytope)
-    floors = [math.floor(g.alpha) for g in instance.groups]
-    if sum(floors) > instance.budget or any(
+    floors = np.array([math.floor(g.alpha) for g in instance.groups])
+    caps = np.array([math.ceil(g.beta) for g in instance.groups])
+    if floors.sum() > instance.budget or any(
         f > len(g.members) for f, g in zip(floors, instance.groups)
     ):
         raise InfeasibleRelaxation("rounded fairness constraints admit no feasible set")
 
-    chosen: set[int] = set()
+    group_of = np.empty(instance.item_count, dtype=int)
+    for t, members in enumerate(polytope.memberships):
+        group_of[list(members)] = t
+    counts = np.zeros(len(floors), dtype=int)
+    member = np.zeros(instance.item_count, dtype=bool)
     while True:
-        best_item = -1
-        best_gain = -1.0
-        for i in range(instance.item_count):
-            if i in chosen or not matroid_independent(chosen | {i}, instance):
-                continue
-            gain = oracle.marginal(i, chosen)
-            if gain > best_gain:
-                best_item = i
-                best_gain = gain
-        if best_item < 0:
+        # adding one item of group t changes only term t of the floors-or-counts sum
+        before = np.maximum(floors, counts)
+        fits = (counts + 1 <= caps) & (
+            before.sum() - before + np.maximum(floors, counts + 1) <= instance.budget
+        )
+        candidate = fits[group_of] & ~member
+        if not candidate.any():
             break
-        chosen.add(best_item)
+        gains = np.where(candidate, oracle._marginals_ids(np.flatnonzero(member)), -np.inf)
+        best = int(np.argmax(gains))
+        if not gains[best] > -1.0:
+            break
+        member[best] = True
+        counts[group_of[best]] += 1
 
-    selected = frozenset(chosen)
+    selected = frozenset(int(i) for i in np.flatnonzero(member))
     return DeterministicSolution(
         set=selected,
         value=oracle.evaluate(selected),

@@ -8,6 +8,10 @@ Three oracle families are provided:
   ``f(empty) = 0``,
 * modular: ``f(S)`` is the sum of per-item weights.
 
+``marginals(S)`` returns every item's gain ``f(S + i) - f(S)`` in one call
+(zero at members of ``S``), from one vector expression per family; greedy
+solvers make one such call per step.
+
 Every oracle also evaluates the multilinear extension ``F(y)``, the expected
 value of ``f`` over the random set that includes item ``i`` independently
 with probability ``y_i``.  All three families have exact closed forms, and
@@ -89,9 +93,10 @@ class ObjectiveOracle(ABC):
     """Evaluates a non-negative monotone submodular set function.
 
     Subclasses implement ``_evaluate_ids`` and may override the incremental
-    ``_marginal_ids`` and the batched ``_evaluate_selection_matrix`` hooks
-    for speed, and ``_closed_form_extension`` / ``_closed_form_gradient``
-    when the extension has a closed form.  All public entry points validate
+    ``_marginal_ids`` and the batched ``_marginals_ids`` and
+    ``_evaluate_selection_matrix`` hooks for speed, and
+    ``_closed_form_extension`` / ``_closed_form_gradient`` when the
+    extension has a closed form.  All public entry points validate
     item ids against the ground set ``0 .. item_count - 1``.
     """
 
@@ -121,6 +126,10 @@ class ObjectiveOracle(ABC):
             raise ValueError(f"item {item} is already in the base set")
         return self._marginal_ids(item, ids)
 
+    def marginals(self, items: Iterable[int]) -> np.ndarray:
+        """Return every item's gain f(items + i) - f(items), with 0 at members of ``items``."""
+        return self._marginals_ids(self._check_items(items))
+
     @abstractmethod
     def _evaluate_ids(self, ids: np.ndarray) -> float:
         """Evaluate f on a validated, sorted id array."""
@@ -128,6 +137,15 @@ class ObjectiveOracle(ABC):
     def _marginal_ids(self, item: int, ids: np.ndarray) -> float:
         extended = np.sort(np.append(ids, item))
         return self._evaluate_ids(extended) - self._evaluate_ids(ids)
+
+    def _marginals_ids(self, ids: np.ndarray) -> np.ndarray:
+        """All n gains over a validated, sorted id array; 0 at members."""
+        gains = np.zeros(self._n)
+        outside = np.ones(self._n, dtype=bool)
+        outside[ids] = False
+        for item in np.flatnonzero(outside):
+            gains[item] = self._marginal_ids(int(item), ids)
+        return gains
 
     def _evaluate_selection_matrix(self, selections: np.ndarray) -> np.ndarray:
         """Evaluate f row-wise on a boolean (k, n) selection matrix."""
@@ -286,6 +304,8 @@ class CoverageObjective(ObjectiveOracle):
             raise InvalidInstance("coverage element weights must be non-negative")
         self._weights = weights
         self._incidence = incidence
+        # the same 0/1 entries as floats, so products need no per-call cast
+        self._incidence_f = incidence.astype(float)
         if element_names is None:
             element_names = tuple(f"e{u}" for u in range(weights.size))
         if len(element_names) != weights.size:
@@ -305,6 +325,11 @@ class CoverageObjective(ObjectiveOracle):
             gained &= ~self._incidence[:, ids].any(axis=1)
         return float(self._weights @ gained.astype(float))
 
+    def _marginals_ids(self, ids: np.ndarray) -> np.ndarray:
+        # members gain nothing: every element they cover is already covered
+        uncovered = ~self._incidence[:, ids].any(axis=1)
+        return (self._weights * uncovered) @ self._incidence_f
+
     def _uncovered(self, y: np.ndarray) -> np.ndarray:
         # P(element u uncovered) = prod over covering items of (1 - y_i)
         return np.where(self._incidence, (1.0 - y)[None, :], 1.0).prod(axis=1)
@@ -314,7 +339,7 @@ class CoverageObjective(ObjectiveOracle):
 
     def _closed_form_gradient(self, y: np.ndarray) -> np.ndarray:
         # raising y_i to one covers every still-uncovered element of item i
-        return (self._weights * self._uncovered(y)) @ self._incidence
+        return (self._weights * self._uncovered(y)) @ self._incidence_f
 
     def _evaluate_selection_matrix(self, selections: np.ndarray) -> np.ndarray:
         covered = selections.astype(float) @ self._incidence.T.astype(float) > 0
@@ -354,6 +379,11 @@ class ModularObjective(ObjectiveOracle):
     def _marginal_ids(self, item: int, ids: np.ndarray) -> float:
         return float(self._weights[item])
 
+    def _marginals_ids(self, ids: np.ndarray) -> np.ndarray:
+        gains = self._weights.copy()
+        gains[ids] = 0.0
+        return gains
+
     def _closed_form_extension(self, y: np.ndarray) -> float:
         return float(self._weights @ y)
 
@@ -386,6 +416,9 @@ class FacilityLocationObjective(ObjectiveOracle):
         if np.any(similarity < 0):
             raise InvalidInstance("similarity entries must be non-negative")
         self._similarity = similarity
+        # items by rows, so each item's gain sums one contiguous row exactly
+        # as _marginal_ids sums its column copy
+        self._by_item = np.ascontiguousarray(similarity.T)
         self._order = np.argsort(-similarity, axis=1, kind="stable")
         self._sorted = np.take_along_axis(similarity, self._order, axis=1)
 
@@ -394,12 +427,16 @@ class FacilityLocationObjective(ObjectiveOracle):
             return 0.0
         return float(self._similarity[:, ids].max(axis=1).sum())
 
-    def _marginal_ids(self, item: int, ids: np.ndarray) -> float:
+    def _current(self, ids: np.ndarray) -> np.ndarray:
         if ids.size == 0:
-            current = np.zeros(self._similarity.shape[0])
-        else:
-            current = self._similarity[:, ids].max(axis=1)
-        return float(np.maximum(self._similarity[:, item] - current, 0.0).sum())
+            return np.zeros(self._similarity.shape[0])
+        return self._similarity[:, ids].max(axis=1)
+
+    def _marginal_ids(self, item: int, ids: np.ndarray) -> float:
+        return float(np.maximum(self._similarity[:, item] - self._current(ids), 0.0).sum())
+
+    def _marginals_ids(self, ids: np.ndarray) -> np.ndarray:
+        return np.maximum(self._by_item - self._current(ids), 0.0).sum(axis=1)
 
     def _row_terms(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per row, in descending similarity order: y_(k), prod_{j<k} (1 - y_(j)), and the terms."""

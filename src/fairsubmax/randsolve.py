@@ -40,6 +40,9 @@ HEURISTIC_FACTOR = 1.0 - 1.0 / math.e
 
 _MODES = ("exact", "heuristic", "auto")
 
+#: sets per chunk when gathering the group counts of an exact enumeration
+_COUNT_CHUNK = 8192
+
 
 @dataclass(frozen=True, eq=False)
 class DualPoint:
@@ -107,6 +110,8 @@ class EllipsoidConfig:
             raise ConfigError("max_iters must be at least 1")
         if self.oracle_mode not in _MODES:
             raise ConfigError(f"oracle_mode must be one of {_MODES}")
+        if self.enumeration_budget < 1:
+            raise ConfigError("enumeration_budget must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,15 +248,24 @@ class _SeparationContext:
             sets = enumerate_feasible_sets(n, instance.budget, cfg.enumeration_budget)
             self.sets = sets
             self.set_values = np.array([oracle.evaluate(s) for s in sets])
-            counts = np.zeros((len(sets), m))
-            for k, s in enumerate(sets):
-                if s:
-                    counts[k] = self.group_matrix[list(s)].sum(axis=0)
-            self.set_counts = counts
+            self.set_counts = self._enumeration_counts(sets)
         else:
             self.sets = None
             self.set_values = None
             self.set_counts = None
+
+    def _enumeration_counts(self, sets: list[tuple[int, ...]]) -> np.ndarray:
+        """Group counts of every set, gathered in chunks from a zero-padded
+        group matrix; sums of 0/1 entries are exact in any order."""
+        n, m = self.group_matrix.shape
+        width = min(self.instance.budget, n)
+        padded = np.vstack([self.group_matrix, np.zeros((1, m))])
+        counts = np.empty((len(sets), m))
+        for start in range(0, len(sets), _COUNT_CHUNK):
+            chunk = sets[start : start + _COUNT_CHUNK]
+            ids = np.array([s + (n,) * (width - len(s)) for s in chunk], dtype=np.intp)
+            counts[start : start + len(chunk)] = padded[ids].sum(axis=1)
+        return counts
 
     def best_set(self, group_prices: np.ndarray) -> tuple[tuple[int, ...], float, float, np.ndarray]:
         """Maximize f(S) plus the group-priced count term; returns
@@ -302,29 +316,20 @@ def _distorted_greedy(oracle: ObjectiveOracle, item_prices: np.ndarray, steps: i
     """Distorted greedy for a submodular-plus-modular objective.
 
     Positive prices fold into the submodular part, negative prices stay
-    modular; a candidate joins only when its distorted gain is positive.
+    modular; a candidate joins only when its distorted gain is positive,
+    and ties go to the lowest id.  Each step makes one batched marginal call.
     """
     positive = np.maximum(item_prices, 0.0)
     negative = np.minimum(item_prices, 0.0)
-    n = item_prices.size
-    chosen: list[int] = []
-    member = np.zeros(n, dtype=bool)
+    member = np.zeros(item_prices.size, dtype=bool)
     for step in range(steps):
         factor = (1.0 - 1.0 / steps) ** (steps - step - 1)
-        best = -1
-        best_gain = 0.0
-        for e in range(n):
-            if member[e]:
-                continue
-            gain = factor * (oracle.marginal(e, chosen) + positive[e]) + negative[e]
-            if gain > best_gain:
-                best = e
-                best_gain = gain
-        if best < 0:
-            continue
-        chosen.append(best)
-        member[best] = True
-    return tuple(sorted(chosen))
+        gains = factor * (oracle._marginals_ids(np.flatnonzero(member)) + positive) + negative
+        gains[member] = -np.inf
+        best = int(np.argmax(gains))
+        if gains[best] > 0.0:
+            member[best] = True
+    return tuple(int(i) for i in np.flatnonzero(member))
 
 
 def best_augmented_set(

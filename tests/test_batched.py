@@ -1,0 +1,202 @@
+"""Batched marginal gains and the greedy loops built on them.
+
+Each property compares the one-call-per-step code with the per-item loops
+it replaced, written out here as references.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fairsubmax import (
+    CoverageObjective,
+    FacilityLocationObjective,
+    ModularObjective,
+    fast_greedy,
+    matroid_independent,
+)
+from fairsubmax.objectives import ObjectiveOracle
+from fairsubmax.randsolve import _distorted_greedy
+
+from conftest import random_disjoint_instance, random_overlapping_instance
+
+FAMILIES = ("coverage", "modular", "facility_location")
+
+PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
+
+
+def make_oracle(n: int, family: str, seed: int, integral: bool) -> ObjectiveOracle:
+    """A seeded oracle; small integer values make exact ties common."""
+    rng = np.random.default_rng(seed)
+
+    def values(shape):
+        if integral:
+            return rng.integers(0, 4, size=shape).astype(float)
+        return rng.uniform(0.0, 3.0, size=shape)
+
+    if family == "coverage":
+        universe = int(rng.integers(1, 2 * n + 2))
+        return CoverageObjective(n, values(universe), rng.random((universe, n)) < 0.3)
+    if family == "modular":
+        return ModularObjective(values(n))
+    return FacilityLocationObjective(values((int(rng.integers(1, 12)), n)))
+
+
+@st.composite
+def oracle_and_base(draw):
+    n = draw(st.integers(1, 40))
+    oracle = make_oracle(
+        n,
+        draw(st.sampled_from(FAMILIES)),
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.booleans()),
+    )
+    base = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+    return oracle, base
+
+
+@st.composite
+def instance_and_oracle(draw, disjoint: bool):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if disjoint:
+        instance = random_disjoint_instance(
+            rng, n_max=40, m_max=5, b_max=10, integral=draw(st.booleans())
+        )
+    else:
+        instance = random_overlapping_instance(rng, n_max=40, m_max=4, b_max=6)
+    oracle = make_oracle(
+        instance.item_count,
+        draw(st.sampled_from(FAMILIES)),
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.booleans()),
+    )
+    return instance, oracle
+
+
+def per_item_marginals(oracle: ObjectiveOracle, base) -> np.ndarray:
+    members = set(base)
+    return np.array(
+        [0.0 if i in members else oracle.marginal(i, base) for i in range(oracle.item_count)]
+    )
+
+
+class SquareRootOfWeight(ObjectiveOracle):
+    """sqrt of a modular weight: submodular, and with no batched hook."""
+
+    kind = "sqrt_modular"
+
+    def __init__(self, weights):
+        self._w = np.asarray(weights, dtype=float)
+        super().__init__(self._w.size)
+
+    def _evaluate_ids(self, ids: np.ndarray) -> float:
+        return math.sqrt(float(self._w[ids].sum()))
+
+    def to_spec(self) -> dict:
+        return {"type": self.kind, "weights": self._w.tolist()}
+
+
+class TestMarginals:
+    @PROPERTY
+    @given(oracle_and_base())
+    def test_matches_per_item_marginals(self, case):
+        oracle, base = case
+        gains = oracle.marginals(base)
+        assert gains.shape == (oracle.item_count,)
+        np.testing.assert_allclose(gains, per_item_marginals(oracle, base), rtol=0, atol=1e-12)
+        assert np.all(gains[base] == 0.0)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("bad", [[5], [-1], [0, 9], [1.5], [True]])
+    def test_bad_ids_raise(self, family, bad):
+        oracle = make_oracle(5, family, seed=3, integral=False)
+        with pytest.raises(ValueError):
+            oracle.marginals(bad)
+
+    @PROPERTY
+    @given(
+        st.lists(st.floats(0.0, 5.0), min_size=1, max_size=40),
+        st.data(),
+    )
+    def test_default_hook_is_the_per_item_loop_bit_for_bit(self, weights, data):
+        oracle = SquareRootOfWeight(weights)
+        base = data.draw(st.lists(st.integers(0, len(weights) - 1), unique=True))
+        assert np.array_equal(oracle.marginals(base), per_item_marginals(oracle, base))
+
+    def test_duplicates_and_order_do_not_matter(self):
+        oracle = make_oracle(12, "coverage", seed=7, integral=False)
+        assert np.array_equal(oracle.marginals([4, 1, 4]), oracle.marginals([1, 4]))
+
+
+def reference_distorted_greedy(oracle, item_prices, steps):
+    positive = np.maximum(item_prices, 0.0)
+    negative = np.minimum(item_prices, 0.0)
+    chosen: list[int] = []
+    for step in range(steps):
+        factor = (1.0 - 1.0 / steps) ** (steps - step - 1)
+        best, best_gain = -1, 0.0
+        for e in range(item_prices.size):
+            if e in chosen:
+                continue
+            gain = factor * (oracle.marginal(e, chosen) + positive[e]) + negative[e]
+            if gain > best_gain:
+                best, best_gain = e, gain
+        if best >= 0:
+            chosen.append(best)
+    return tuple(sorted(chosen))
+
+
+class TestDistortedGreedy:
+    @PROPERTY
+    @given(st.booleans().flatmap(instance_and_oracle), st.data())
+    def test_matches_per_item_loop(self, case, data):
+        instance, oracle = case
+        membership = np.zeros((instance.item_count, instance.group_count))
+        for t, g in enumerate(instance.groups):
+            membership[sorted(g.members), t] = 1.0
+        prices = np.array(
+            data.draw(
+                st.lists(
+                    st.floats(-4.0, 4.0),
+                    min_size=instance.group_count,
+                    max_size=instance.group_count,
+                )
+            )
+        )
+        item_prices = membership @ prices
+        steps = min(instance.budget, instance.item_count)
+        assert _distorted_greedy(oracle, item_prices, steps) == reference_distorted_greedy(
+            oracle, item_prices, steps
+        )
+
+
+def reference_fast_greedy(instance, oracle) -> frozenset[int]:
+    chosen: set[int] = set()
+    while True:
+        best_item, best_gain = -1, -1.0
+        for i in range(instance.item_count):
+            if i in chosen or not matroid_independent(chosen | {i}, instance):
+                continue
+            gain = oracle.marginal(i, chosen)
+            if gain > best_gain:
+                best_item, best_gain = i, gain
+        if best_item < 0:
+            return frozenset(chosen)
+        chosen.add(best_item)
+
+
+class TestFastGreedy:
+    @PROPERTY
+    @given(instance_and_oracle(disjoint=True))
+    def test_matches_per_item_loop_and_is_maximal(self, case):
+        instance, oracle = case
+        selected = fast_greedy(instance, oracle).set
+        assert selected == reference_fast_greedy(instance, oracle)
+        assert matroid_independent(selected, instance)
+        for i in set(range(instance.item_count)) - selected:
+            assert not matroid_independent(selected | {i}, instance)

@@ -100,16 +100,42 @@ class TestSolveCommands:
         assert code == 2 and "--trace" in err
         assert not trace.exists()
 
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("solve-greedy", ["--delta", "0", "--epsilon-l", "-1", "--samples", "0"]),
+            ("solve-greedy", ["--seed", "1"]),
+            ("solve-det", ["--epsilon-l", "1"]),
+            ("solve-det", ["--enum-budget", "10"]),
+            ("solve-rand", ["--delta", "5"]),
+            ("solve-rand", ["--samples", "5"]),
+            ("oracle", ["--oracle-mode", "exact"]),
+            ("check", ["--result", "x.json", "--seed", "1"]),
+        ],
+    )
+    def test_flags_a_subcommand_does_not_read_exit_2(self, capsys, fixtures_dir, command, flags):
+        code, out, err = run(
+            capsys, command, "--instance", str(fixtures_dir / "toy3.json"), *flags,
+        )
+        assert code == 2 and out == ""
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("command", ["solve-rand", "oracle", "bench"])
+    @pytest.mark.parametrize("budget", ["-5", "0"])
+    def test_enum_budget_below_one_exits_2(self, capsys, fixtures_dir, command, budget):
+        instance = fixtures_dir if command == "bench" else fixtures_dir / "toy3.json"
+        code, out, err = run(
+            capsys, command, "--instance", str(instance), "--enum-budget", budget,
+        )
+        assert code == 2 and out == ""
+        assert err == "error: enumeration_budget must be at least 1\n"
+
     def test_byte_identical_json_outputs(self, capsys, fixtures_dir):
-        _, first, _ = run(
-            capsys, "solve-rand", "--instance", str(fixtures_dir / "rand2.json"),
-            "--format", "json", "--seed", "3",
-        )
-        _, second, _ = run(
-            capsys, "solve-rand", "--instance", str(fixtures_dir / "rand2.json"),
-            "--format", "json", "--seed", "3",
-        )
-        assert first == second
+        argv = ("solve-rand", "--instance", str(fixtures_dir / "rand2.json"), "--format", "json")
+        first_code, first, _ = run(capsys, *argv)
+        second_code, second, _ = run(capsys, *argv)
+        assert first_code == second_code == 0
+        assert first and first == second
 
     def test_out_file(self, capsys, fixtures_dir, tmp_path):
         target = tmp_path / "result.json"
@@ -130,6 +156,39 @@ class TestSolveCommands:
         lines = [json.loads(line) for line in trace.read_text().splitlines()]
         assert len(lines) >= 8
         assert {"iteration", "support", "extension_estimate"} <= set(lines[0])
+
+
+class TestBenchmarkContract:
+    """The argv shapes the benchmark harness runs, and the keys it reads back."""
+
+    RAND_KEYS = {"distribution", "residual", "value", "expected_group_counts", "feasibility"}
+    RAND_STATS = {"probes", "ellipsoid_iterations", "oracle_calls", "pool_size"}
+    SET_KEYS = {"set", "value", "group_counts", "feasibility"}
+
+    @pytest.mark.parametrize(
+        "argv, fixture",
+        [
+            (["solve-rand", "--oracle-mode", "exact"], "rand2.json"),
+            (["solve-rand", "--oracle-mode", "heuristic"], "rand2.json"),
+            (["solve-det"], "toy3.json"),
+            (["solve-greedy"], "toy3.json"),
+        ],
+    )
+    def test_argv_shape_writes_the_keys_read_back(self, capsys, fixtures_dir, tmp_path, argv, fixture):
+        out = tmp_path / "out.json"
+        code, stdout, err = run(
+            capsys, *argv, "--instance", str(fixtures_dir / fixture),
+            "--format", "json", "--out", str(out),
+        )
+        assert code == 0 and stdout == "" and err == ""
+        doc = json.loads(out.read_text())
+        if argv[0] == "solve-rand":
+            assert self.RAND_KEYS <= set(doc)
+            assert isinstance(doc["certificate"]["epsilon"], float)
+            assert self.RAND_STATS <= set(doc["stats"])
+            assert all(isinstance(doc["stats"][k], int) for k in self.RAND_STATS)
+        else:
+            assert self.SET_KEYS <= set(doc)
 
 
 class TestCheck:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fairsubmax import (
+    ConfigError,
     DualPoint,
     EllipsoidConfig,
     EnumerationBudgetExceeded,
@@ -21,10 +22,12 @@ from fairsubmax import (
     brute_force_lp,
     dual_scaling_violations,
     ellipsoid_emptiness,
+    group_counts,
     separate,
     solve_pooled_lp,
     solve_randomized,
 )
+from fairsubmax.randsolve import _SeparationContext
 
 from conftest import (
     random_coverage,
@@ -95,6 +98,23 @@ class TestBestAugmentedSet:
             mu = 1 - 1 / math.e
             assert h_score <= exact_score + 1e-9
             assert h_score >= mu * exact_score - 1e-9 or len(h_set) <= inst.budget
+
+
+class TestEnumeration:
+    def test_group_counts_match_per_set_counts_across_chunks(self):
+        # 10701 sets of size <= 3 out of 40 span two count chunks
+        rng = np.random.default_rng(11)
+        groups = [(set(rng.choice(40, size=15, replace=False).tolist()), 0, 3) for _ in range(3)]
+        inst = make_instance(40, groups, 3)
+        ctx = _SeparationContext(inst, random_modular(rng, 40), EllipsoidConfig(oracle_mode="exact"))
+        assert len(ctx.sets) == 10701
+        expected = np.array([group_counts(inst, s) for s in ctx.sets], dtype=float)
+        assert np.array_equal(ctx.set_counts, expected)
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_enumeration_budget_below_one_is_a_config_error(self, budget):
+        with pytest.raises(ConfigError):
+            EllipsoidConfig(enumeration_budget=budget)
 
 
 class TestSeparate:
