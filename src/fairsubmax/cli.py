@@ -8,14 +8,14 @@ over a directory of instances and print a comparison table).
 
 Exit codes: 0 on success, 1 when the instance is infeasible for the chosen
 solver, 2 on input and configuration errors.  With ``--format json`` the
-output is byte identical across runs with the same arguments, files, and
-seed.
+output is byte identical across runs with the same arguments and files.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -32,7 +32,7 @@ from .errors import (
     ParseError,
 )
 from .instance import Instance, group_counts, load_instance
-from .objectives import EstimationConfig, ObjectiveOracle
+from .objectives import ObjectiveOracle
 from .randsolve import EllipsoidConfig, SelectionDistribution, solve_randomized
 from .verify import audit_distribution, brute_force_lp
 
@@ -67,15 +67,7 @@ def main(argv=None) -> int:
 
 #: every flag a subcommand may take beyond --instance, --out and --format
 _FLAGS = {
-    "--seed": dict(
-        type=int, default=0,
-        help="Monte Carlo seed, used only for objectives without a closed form",
-    ),
     "--delta": dict(type=int, default=None, help="continuous greedy iteration count"),
-    "--samples": dict(
-        type=int, default=10_000,
-        help="Monte Carlo sample count, used only for objectives without a closed form",
-    ),
     "--epsilon-l": dict(type=float, default=None, help="binary search precision"),
     "--oracle-mode": dict(choices=("exact", "heuristic", "auto"), default="auto"),
     "--enum-budget": dict(type=int, default=1_000_000, help="enumeration budget, at least 1"),
@@ -83,7 +75,7 @@ _FLAGS = {
     "--result": dict(required=True, help="result file to audit"),
 }
 
-_DET_FLAGS = ("--seed", "--delta", "--samples")
+_DET_FLAGS = ("--delta",)
 _RAND_FLAGS = ("--epsilon-l", "--oracle-mode", "--enum-budget")
 
 
@@ -109,10 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
     return parser
-
-
-def _estimation(args) -> EstimationConfig:
-    return EstimationConfig(samples=args.samples, seed=args.seed)
 
 
 def _ellipsoid_config(args) -> EllipsoidConfig:
@@ -178,7 +166,7 @@ def _set_table(payload: dict) -> str:
 
 def _cmd_solve_det(args) -> int:
     instance, oracle = _load(args.instance)
-    cfg = ContinuousGreedyConfig(delta=args.delta, estimation=_estimation(args))
+    cfg = ContinuousGreedyConfig(delta=args.delta)
     trace_records: list[dict] = []
     hook = trace_records.append if args.trace else None
     solution = solve_deterministic(instance, oracle, cfg, on_iteration=hook)
@@ -253,7 +241,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_check(args) -> int:
     instance, oracle = _load(args.instance)
-    distribution = _read_result(args.result)
+    distribution = _read_result(args.result, instance.item_count)
     report = audit_distribution(distribution, instance, oracle)
     payload = report.to_json_obj()
     table = "\n".join(
@@ -268,21 +256,40 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _read_result(path) -> SelectionDistribution:
+def _read_result(path, item_count: int) -> SelectionDistribution:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
     if isinstance(doc, dict) and "distribution" in doc:
+        if not isinstance(doc["distribution"], list):
+            raise ParseError(f"{path}: distribution: expected a list")
         pairs = []
         for k, entry in enumerate(doc["distribution"]):
             if not isinstance(entry, dict) or "set" not in entry or "prob" not in entry:
                 raise ParseError(f"{path}: distribution[{k}] needs 'set' and 'prob'")
-            pairs.append((entry["set"], float(entry["prob"])))
+            prob = entry["prob"]
+            # from_support drops entries with prob <= 0, so the audit would never see a negative one
+            number = isinstance(prob, (int, float)) and not isinstance(prob, bool)
+            if not number or not 0 <= prob < math.inf:
+                raise ParseError(
+                    f"{path}: distribution[{k}].prob: expected a non-negative number, got {prob!r}"
+                )
+            items = _result_items(entry["set"], item_count, f"{path}: distribution[{k}].set")
+            pairs.append((items, float(prob)))
         return SelectionDistribution.from_support(pairs)
     if isinstance(doc, dict) and "set" in doc:
-        return SelectionDistribution.point(doc["set"])
+        return SelectionDistribution.point(_result_items(doc["set"], item_count, f"{path}: set"))
     raise ParseError(f"{path}: expected a result with a 'distribution' or 'set' field")
+
+
+def _result_items(value, item_count: int, where: str) -> list[int]:
+    if not isinstance(value, list):
+        raise ParseError(f"{where}: expected a list of item ids")
+    for i in value:
+        if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < item_count:
+            raise ParseError(f"{where}: expected item ids in 0..{item_count - 1}, got {i!r}")
+    return value
 
 
 def _cmd_bench(args) -> int:
@@ -292,7 +299,9 @@ def _cmd_bench(args) -> int:
     paths = sorted(directory.glob("*.json"))
     if not paths:
         raise ParseError(f"{directory}: no instance files found")
-    _ellipsoid_config(args)  # a bad setting exits 2 here, not as an error row per instance
+    # a bad setting exits 2 here, not as an error row per instance
+    ContinuousGreedyConfig(delta=args.delta)
+    _ellipsoid_config(args)
     rows = []
     for path in paths:
         instance, oracle = _load(path)
@@ -376,8 +385,7 @@ def _bench_rows(args, name, instance, oracle, optimum) -> list[dict]:
 
 
 def _run_det(args, instance, oracle) -> DeterministicSolution:
-    cfg = ContinuousGreedyConfig(delta=args.delta, estimation=_estimation(args))
-    return solve_deterministic(instance, oracle, cfg)
+    return solve_deterministic(instance, oracle, ContinuousGreedyConfig(delta=args.delta))
 
 
 def _run_rand(args, instance, oracle) -> SelectionDistribution:

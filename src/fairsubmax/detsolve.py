@@ -39,25 +39,19 @@ SNAP_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ContinuousGreedyConfig:
-    """Iteration count, step size, and estimation settings.
+    """Iteration count and estimation settings.
 
-    ``delta`` defaults to ``9 n^2`` and ``step_scale`` to ``1 / delta`` so
-    the final point is an average of polytope vertices and therefore stays
+    ``delta`` defaults to ``9 n^2``.  Each round steps ``1 / delta``, so the
+    final point is an average of polytope vertices and therefore stays
     inside the polytope.
     """
 
     delta: int | None = None
-    step_scale: float | None = None
     estimation: EstimationConfig = DEFAULT_ESTIMATION
 
-    def resolve(self, item_count: int) -> tuple[int, float]:
-        delta = self.delta if self.delta is not None else 9 * item_count * item_count
-        if delta < 1:
+    def __post_init__(self) -> None:
+        if self.delta is not None and self.delta < 1:
             raise ConfigError("delta must be at least 1")
-        step = self.step_scale if self.step_scale is not None else 1.0 / delta
-        if step <= 0 or step * delta > 1.0 + 1e-12:
-            raise ConfigError("step_scale * delta must stay within 1")
-        return delta, step
 
 
 @dataclass(frozen=True)
@@ -120,12 +114,13 @@ def continuous_greedy(
 
     Each round estimates the extension marginal of every item at the
     current point, maximizes that linear objective over the polytope, and
-    advances by ``step_scale`` times the resulting vertex.  The returned
+    advances by ``1 / delta`` times the resulting vertex.  The returned
     point is a convex combination of vertices, hence a polytope member.
     """
     cfg = cfg or ContinuousGreedyConfig()
     n = instance.item_count
-    delta, step = cfg.resolve(n)
+    delta = cfg.delta if cfg.delta is not None else 9 * n * n
+    step = 1.0 / delta
     polytope = FairnessPolytope.from_instance(instance)
     _require_disjoint_covering(polytope)
     check_nonempty(polytope)
@@ -296,9 +291,7 @@ def fast_greedy(instance: Instance, oracle: ObjectiveOracle) -> DeterministicSol
     ):
         raise InfeasibleRelaxation("rounded fairness constraints admit no feasible set")
 
-    group_of = np.empty(instance.item_count, dtype=int)
-    for t, members in enumerate(polytope.memberships):
-        group_of[list(members)] = t
+    group_of = polytope.matrix.argmax(axis=1)  # each item's one group
     counts = np.zeros(len(floors), dtype=int)
     member = np.zeros(instance.item_count, dtype=bool)
     while True:

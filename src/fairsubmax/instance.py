@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import EnumerationBudgetExceeded, InvalidInstance, ParseError
-from .lp import LinearConstraint, LinearProgram, solve_simplex
+from .lp import FairnessPolytope, feasible_point
 from .objectives import ObjectiveOracle, oracle_from_spec
 
 #: default cap on the number of subsets any exhaustive enumeration may touch
@@ -125,29 +125,11 @@ def validate(instance: Instance) -> StructureReport:
     Overlapping groups are legal and merely recorded; only structurally
     broken data (checked at construction) raises.
     """
-    seen: set[int] = set()
-    disjoint = True
-    for g in instance.groups:
-        if seen & g.members:
-            disjoint = False
-        seen |= g.members
-    covering = seen == set(range(instance.item_count))
+    polytope = FairnessPolytope.from_instance(instance)
     integral = all(g.alpha.is_integer() and g.beta.is_integer() for g in instance.groups)
-    return StructureReport(disjoint, covering, _lp_feasible(instance), integral)
-
-
-def _lp_feasible(instance: Instance) -> bool:
-    """Decide whether any fractional selection meets bounds and budget."""
-    n = instance.item_count
-    rows = []
-    for g in instance.groups:
-        coeffs = np.zeros(n)
-        coeffs[sorted(g.members)] = 1.0
-        rows.append(LinearConstraint(coeffs, ">=", g.alpha))
-        rows.append(LinearConstraint(coeffs, "<=", g.beta))
-    rows.append(LinearConstraint(np.ones(n), "<=", float(instance.budget)))
-    lp = LinearProgram(np.zeros(n), tuple(rows), upper_bounds=np.ones(n))
-    return solve_simplex(lp).status == "optimal"
+    return StructureReport(
+        polytope.disjoint, polytope.covering, feasible_point(polytope) is not None, integral
+    )
 
 
 def count_feasible_sets(item_count: int, budget: int) -> int:

@@ -213,8 +213,10 @@ class FairnessPolytope:
     """Fractional points respecting group bounds and the shared budget.
 
     The defining constraints are ``alpha_t <= sum_{i in V_t} y_i <= beta_t``
-    per group, the budget row ``sum_t sum_{i in V_t} y_i <= b`` (items in
-    several groups count once per group), and the box ``0 <= y <= 1``.
+    per group, the budget row ``sum_i y_i <= b`` (each item counts once,
+    whatever groups it is in), and the box ``0 <= y <= 1``.  ``matrix`` is
+    the (items x groups) 0/1 membership matrix every group count is read
+    from.
     """
 
     item_count: int
@@ -227,23 +229,20 @@ class FairnessPolytope:
         self.memberships = tuple(tuple(sorted(g)) for g in self.memberships)
         self.lowers = np.asarray(self.lowers, dtype=float)
         self.uppers = np.asarray(self.uppers, dtype=float)
-        seen: set[int] = set()
-        overlap = False
-        for members in self.memberships:
-            for i in members:
-                if i in seen:
-                    overlap = True
-                seen.add(i)
-        self.disjoint = not overlap
-        self.covering = seen == set(range(self.item_count))
+        self.matrix = np.zeros((self.item_count, len(self.memberships)))
+        for t, members in enumerate(self.memberships):
+            self.matrix[list(members), t] = 1.0
+        groups_per_item = self.matrix.sum(axis=1)
+        self.disjoint = bool(np.all(groups_per_item <= 1.0))
+        self.covering = bool(np.all(groups_per_item >= 1.0))
 
     @classmethod
     def from_instance(cls, instance: "Instance") -> "FairnessPolytope":
         return cls(
             item_count=instance.item_count,
             memberships=tuple(tuple(sorted(g.members)) for g in instance.groups),
-            lowers=np.array([g.alpha for g in instance.groups]),
-            uppers=np.array([g.beta for g in instance.groups]),
+            lowers=instance.alphas,
+            uppers=instance.betas,
             budget=instance.budget,
         )
 
@@ -252,8 +251,7 @@ class FairnessPolytope:
         return len(self.memberships)
 
     def group_sums(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        return np.array([y[list(members)].sum() for members in self.memberships])
+        return np.asarray(y, dtype=float) @ self.matrix
 
     def contains(self, y, tol: float = FEAS_TOL) -> bool:
         """Membership test for the polytope, within ``tol`` per constraint."""
@@ -265,7 +263,7 @@ class FairnessPolytope:
         sums = self.group_sums(y)
         if np.any(sums < self.lowers - tol) or np.any(sums > self.uppers + tol):
             return False
-        return float(sums.sum()) <= self.budget + tol
+        return float(y.sum()) <= self.budget + tol
 
 
 def membership(y, polytope: FairnessPolytope, tol: float = FEAS_TOL) -> bool:
@@ -364,17 +362,27 @@ def allocate_linear(weights: np.ndarray, polytope: FairnessPolytope) -> np.ndarr
     return y
 
 
+def window_rows(counts, lowers, uppers) -> list[LinearConstraint]:
+    """The rows ``lowers_t <= counts[:, t] . x <= uppers_t``, two per group.
+
+    ``counts`` holds one row per LP column and one column per group.
+    """
+    rows: list[LinearConstraint] = []
+    for t in range(counts.shape[1]):
+        rows.append(LinearConstraint(counts[:, t], ">=", float(lowers[t])))
+        rows.append(LinearConstraint(counts[:, t], "<=", float(uppers[t])))
+    return rows
+
+
 def polytope_linear_program(polytope: FairnessPolytope, weights) -> LinearProgram:
     """Express linear maximization over the polytope as a LinearProgram."""
     n = polytope.item_count
-    weights = np.asarray(weights, dtype=float)
-    rows: list[LinearConstraint] = []
-    budget_coeffs = np.zeros(n)
-    for t, members in enumerate(polytope.memberships):
-        coeffs = np.zeros(n)
-        coeffs[list(members)] = 1.0
-        budget_coeffs += coeffs
-        rows.append(LinearConstraint(coeffs, ">=", float(polytope.lowers[t])))
-        rows.append(LinearConstraint(coeffs, "<=", float(polytope.uppers[t])))
-    rows.append(LinearConstraint(budget_coeffs, "<=", float(polytope.budget)))
+    rows = window_rows(polytope.matrix, polytope.lowers, polytope.uppers)
+    rows.append(LinearConstraint(np.ones(n), "<=", float(polytope.budget)))
     return LinearProgram(weights, tuple(rows), upper_bounds=np.ones(n))
+
+
+def feasible_point(polytope: FairnessPolytope) -> np.ndarray | None:
+    """A point of the polytope found by the simplex, or None when it is empty."""
+    solution = solve_simplex(polytope_linear_program(polytope, np.zeros(polytope.item_count)))
+    return solution.x if solution.status == "optimal" else None

@@ -30,9 +30,15 @@ from .instance import (
     count_feasible_sets,
     enumerate_feasible_sets,
     group_counts,
-    validate,
 )
-from .lp import LinearConstraint, LinearProgram, solve_simplex
+from .lp import (
+    FairnessPolytope,
+    LinearConstraint,
+    LinearProgram,
+    feasible_point,
+    solve_simplex,
+    window_rows,
+)
 from .objectives import ObjectiveOracle
 
 #: approximation factor carried by the heuristic separation oracle
@@ -40,8 +46,11 @@ HEURISTIC_FACTOR = 1.0 - 1.0 / math.e
 
 _MODES = ("exact", "heuristic", "auto")
 
-#: sets per chunk when gathering the group counts of an exact enumeration
+#: sets per chunk when gathering the group counts of many sets
 _COUNT_CHUNK = 8192
+
+#: a dual point violates a row when it exceeds the row by more than this
+CUT_TOL = 1e-7
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,18 +97,14 @@ class EllipsoidConfig:
     """Precision and budget knobs for the randomized solver.
 
     ``epsilon_l`` is the binary-search precision on the objective level
-    (default ``1e-4 * f(V)``), ``cut_tolerance`` the violation threshold
-    for cuts, ``max_iters`` the per-run iteration cap (default
-    ``ceil(2 d (d+1) ln(R / cut_tolerance))``), ``box`` the per-variable
-    upper bounds of the dual search box, and ``oracle_mode`` selects exact
-    enumeration, the greedy heuristic, or automatic selection by
-    enumeration size.
+    (default ``1e-4 * f(V)``), ``max_iters`` the per-run iteration cap
+    (default ``ceil(2 d (d+1) ln(R / CUT_TOL))``), and ``oracle_mode``
+    selects exact enumeration, the greedy heuristic, or automatic selection
+    by enumeration size.
     """
 
     epsilon_l: float | None = None
-    cut_tolerance: float = 1e-7
     max_iters: int | None = None
-    box: tuple[float, float, float] | None = None
     oracle_mode: str = "auto"
     enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET
 
@@ -220,16 +225,14 @@ class _SeparationContext:
         n = instance.item_count
         m = instance.group_count
         self.dim = 2 * m + 1
-        self.group_matrix = np.zeros((n, m))
-        for t, g in enumerate(instance.groups):
-            self.group_matrix[sorted(g.members), t] = 1.0
+        self.group_matrix = FairnessPolytope.from_instance(instance).matrix
         self.value_full = oracle.evaluate(range(n))
-        if cfg.box is not None:
-            z_cap, u_cap, w_cap = cfg.box
-        else:
-            z_cap = u_cap = self.value_full + 1.0
-            w_cap = self.value_full + instance.budget * m * (self.value_full + 1.0)
-        self.caps = np.concatenate([np.full(m, z_cap), np.full(m, u_cap), [w_cap]])
+        # the dual search box: group prices up to f(V) + 1, and a budget
+        # price that covers f(V) plus every group price on b items
+        price_cap = self.value_full + 1.0
+        self.caps = np.concatenate(
+            [np.full(2 * m, price_cap), [self.value_full + instance.budget * m * price_cap]]
+        )
         self.objective_row = np.concatenate(
             [-instance.alphas, instance.betas, [1.0]]
         )
@@ -248,24 +251,11 @@ class _SeparationContext:
             sets = enumerate_feasible_sets(n, instance.budget, cfg.enumeration_budget)
             self.sets = sets
             self.set_values = np.array([oracle.evaluate(s) for s in sets])
-            self.set_counts = self._enumeration_counts(sets)
+            self.set_counts = _set_counts(self.group_matrix, sets, min(instance.budget, n))
         else:
             self.sets = None
             self.set_values = None
             self.set_counts = None
-
-    def _enumeration_counts(self, sets: list[tuple[int, ...]]) -> np.ndarray:
-        """Group counts of every set, gathered in chunks from a zero-padded
-        group matrix; sums of 0/1 entries are exact in any order."""
-        n, m = self.group_matrix.shape
-        width = min(self.instance.budget, n)
-        padded = np.vstack([self.group_matrix, np.zeros((1, m))])
-        counts = np.empty((len(sets), m))
-        for start in range(0, len(sets), _COUNT_CHUNK):
-            chunk = sets[start : start + _COUNT_CHUNK]
-            ids = np.array([s + (n,) * (width - len(s)) for s in chunk], dtype=np.intp)
-            counts[start : start + len(chunk)] = padded[ids].sum(axis=1)
-        return counts
 
     def best_set(self, group_prices: np.ndarray) -> tuple[tuple[int, ...], float, float, np.ndarray]:
         """Maximize f(S) plus the group-priced count term; returns
@@ -290,26 +280,41 @@ class _SeparationContext:
 
     def check_point(self, vec: np.ndarray, level: float):
         """Return None when inside, else (normal, rhs, witness or None)."""
-        tol = self.cfg.cut_tolerance
-        low = np.flatnonzero(vec < -tol)
+        low = np.flatnonzero(vec < -CUT_TOL)
         if low.size:
             normal = np.zeros(self.dim)
             normal[low[0]] = -1.0
             return normal, 0.0, None
-        high = np.flatnonzero(vec > self.caps + tol)
+        high = np.flatnonzero(vec > self.caps + CUT_TOL)
         if high.size:
             normal = np.zeros(self.dim)
             normal[high[0]] = 1.0
             return normal, float(self.caps[high[0]]), None
-        if float(self.objective_row @ vec) > level + tol:
+        if float(self.objective_row @ vec) > level + CUT_TOL:
             return self.objective_row, float(level), None
         m = self.instance.group_count
         group_prices = vec[:m] - vec[m : 2 * m]
         witness, score, fval, counts = self.best_set(group_prices)
-        if score > vec[-1] + tol:
+        if score > vec[-1] + CUT_TOL:
             normal = np.concatenate([counts, -counts, [-1.0]])
             return normal, -fval, tuple(witness)
         return None
+
+
+def _set_counts(
+    group_matrix: np.ndarray, sets: Sequence[tuple[int, ...]], width: int
+) -> np.ndarray:
+    """Group counts of every set of at most ``width`` items, gathered in
+    chunks from a zero-padded group matrix; sums of 0/1 entries are exact in
+    any order."""
+    n, m = group_matrix.shape
+    padded = np.vstack([group_matrix, np.zeros((1, m))])
+    counts = np.empty((len(sets), m))
+    for start in range(0, len(sets), _COUNT_CHUNK):
+        chunk = sets[start : start + _COUNT_CHUNK]
+        ids = np.array([s + (n,) * (width - len(s)) for s in chunk], dtype=np.intp)
+        counts[start : start + len(chunk)] = padded[ids].sum(axis=1)
+    return counts
 
 
 def _distorted_greedy(oracle: ObjectiveOracle, item_prices: np.ndarray, steps: int) -> tuple[int, ...]:
@@ -411,7 +416,7 @@ def _ellipsoid_run(ctx: _SeparationContext, level: float) -> EmptinessResult:
     radius = float(np.linalg.norm(ctx.caps) / 2.0) or 1.0
     max_iters = cfg.max_iters
     if max_iters is None:
-        span = max(radius / max(cfg.cut_tolerance, 1e-300), math.e)
+        span = max(radius / CUT_TOL, math.e)
         max_iters = math.ceil(2 * d * (d + 1) * math.log(span))
 
     center = center0.copy()
@@ -467,13 +472,10 @@ def solve_pooled_lp(
     """Solve the distribution LP restricted to a pool of candidate sets."""
     ordered = sorted({tuple(sorted(s)) for s in sets}, key=lambda s: (len(s), s))
     values = np.array([oracle.evaluate(s) for s in ordered])
-    counts = np.zeros((len(ordered), instance.group_count))
-    for k, s in enumerate(ordered):
-        counts[k] = group_counts(instance, s)
-    rows = []
-    for t, g in enumerate(instance.groups):
-        rows.append(LinearConstraint(counts[:, t], ">=", g.alpha))
-        rows.append(LinearConstraint(counts[:, t], "<=", g.beta))
+    polytope = FairnessPolytope.from_instance(instance)
+    width = len(ordered[-1]) if ordered else 0
+    counts = _set_counts(polytope.matrix, ordered, width)
+    rows = window_rows(counts, polytope.lowers, polytope.uppers)
     rows.append(LinearConstraint(np.ones(len(ordered)), "<=", 1.0))
     solution = solve_simplex(LinearProgram(values, tuple(rows)))
     if solution.status != "optimal":
@@ -507,20 +509,6 @@ def dual_scaling_violations(
         lhs = factor * oracle.evaluate(s) + float(counts @ price)
         out[k] = max(0.0, lhs - point.budget_price)
     return out
-
-
-def _feasibility_witness(instance: Instance) -> np.ndarray | None:
-    """A fractional point meeting bounds and budget, if one exists."""
-    n = instance.item_count
-    rows = []
-    for g in instance.groups:
-        coeffs = np.zeros(n)
-        coeffs[sorted(g.members)] = 1.0
-        rows.append(LinearConstraint(coeffs, ">=", g.alpha))
-        rows.append(LinearConstraint(coeffs, "<=", g.beta))
-    rows.append(LinearConstraint(np.ones(n), "<=", float(instance.budget)))
-    solution = solve_simplex(LinearProgram(np.zeros(n), tuple(rows), upper_bounds=np.ones(n)))
-    return solution.x if solution.status == "optimal" else None
 
 
 def _decompose_fractional(y: np.ndarray, budget: int) -> list[tuple[int, ...]]:
@@ -564,7 +552,8 @@ def solve_randomized(
     empty set.
     """
     cfg = cfg or EllipsoidConfig()
-    if not validate(instance).lp_feasible:
+    witness = feasible_point(FairnessPolytope.from_instance(instance))
+    if witness is None:
         raise InfeasibleInstance("no distribution can satisfy the fairness constraints")
     ctx = _SeparationContext(instance, oracle, cfg)
 
@@ -603,7 +592,7 @@ def solve_randomized(
             high = mid
             best_point = run.point
 
-    distribution, value = _solve_pool_with_fallback(instance, oracle, list(pool))
+    distribution, value = _solve_pool_with_fallback(instance, oracle, list(pool), witness)
     violations = dual_scaling_violations(best_point, list(pool), instance, oracle)
     report = RandomizedReport(
         value=value,
@@ -626,15 +615,13 @@ def _solve_pool_with_fallback(
     instance: Instance,
     oracle: ObjectiveOracle,
     pool: list[tuple[int, ...]],
+    witness: np.ndarray,
 ) -> tuple[SelectionDistribution, float]:
     try:
         return solve_pooled_lp(instance, oracle, pool)
     except InfeasibleInstance:
-        # the cut pool can miss sets a feasible mixture needs; decompose a
+        # the cut pool can miss sets a feasible mixture needs; decompose the
         # fractional feasibility witness into sets and retry with them added
-        witness = _feasibility_witness(instance)
-        if witness is None:
-            raise
         extra = _decompose_fractional(witness, instance.budget)
         if not extra:
             raise

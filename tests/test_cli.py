@@ -111,6 +111,10 @@ class TestSolveCommands:
             ("solve-rand", ["--samples", "5"]),
             ("oracle", ["--oracle-mode", "exact"]),
             ("check", ["--result", "x.json", "--seed", "1"]),
+            ("solve-det", ["--samples", "0"]),
+            ("solve-det", ["--seed", "9"]),
+            ("bench", ["--samples", "7"]),
+            ("bench", ["--seed", "9"]),
         ],
     )
     def test_flags_a_subcommand_does_not_read_exit_2(self, capsys, fixtures_dir, command, flags):
@@ -129,6 +133,11 @@ class TestSolveCommands:
         )
         assert code == 2 and out == ""
         assert err == "error: enumeration_budget must be at least 1\n"
+
+    def test_bench_bad_delta_exits_2_before_any_instance(self, capsys, fixtures_dir):
+        code, out, err = run(capsys, "bench", "--instance", str(fixtures_dir), "--delta", "0")
+        assert code == 2 and out == ""
+        assert err == "error: delta must be at least 1\n"
 
     def test_byte_identical_json_outputs(self, capsys, fixtures_dir):
         argv = ("solve-rand", "--instance", str(fixtures_dir / "rand2.json"), "--format", "json")
@@ -214,6 +223,28 @@ class TestCheck:
         doc = json.loads(out)
         assert doc["feasible"] is True
         assert doc["expected_group_counts"] == [1.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "result",
+        [
+            {"set": [0, 99]},
+            {"set": ["x"]},
+            {"set": [True]},
+            {"set": 2},
+            {"distribution": [{"set": [0], "prob": "half"}]},
+            {"distribution": [{"set": [0, 2], "prob": 1.0}, {"set": [1], "prob": -0.2}]},
+            {"distribution": [{"set": [99], "prob": 0.5}]},
+            {"distribution": 3},
+        ],
+    )
+    def test_bad_result_exits_2_with_one_error_line(self, capsys, fixtures_dir, tmp_path, result):
+        path = tmp_path / "result.json"
+        path.write_text(json.dumps(result))
+        code, out, err = run(
+            capsys, "check", "--instance", str(fixtures_dir / "toy3.json"), "--result", str(path),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
     def test_check_good_distribution(self, capsys, fixtures_dir, tmp_path):
         good = tmp_path / "good.json"

@@ -123,6 +123,12 @@ class TestPipage:
         with pytest.raises(ValueError):
             pipage_round(np.array([1.0, 1.0, 1.0]), LP_EXAMPLE, toy3_oracle())
 
+    def test_rejects_point_over_budget_outside_the_groups(self):
+        # items 1 and 2 are in no group, so only sum(y) <= b bounds them
+        inst = Instance(3, (GroupSpec("g", {0}, 0, 1),), 1)
+        with pytest.raises(ValueError, match="outside the fairness polytope"):
+            pipage_round(np.ones(3), inst, ModularObjective([1, 1, 1]))
+
     def test_phase_three_rounds_up(self):
         inst = make_instance(2, [({0, 1}, 0, 2)], 2)
         oracle = ModularObjective([2, 1])

@@ -106,11 +106,11 @@ class TestMembership:
         poly = make_polytope(2, [(0,), (1,)], [1, 0], [1, 1], 2)
         assert not membership([0, 0], poly)
 
-    def test_overlap_budget_double_counts(self):
+    def test_overlap_budget_counts_each_item_once(self):
         poly = make_polytope(2, [(0, 1), (0, 1)], [0, 0], [2, 2], 1)
-        # group-sum budget row counts both groups: 2 * 0.6 > 1
-        assert not membership([0.6, 0.0], poly)
-        assert membership([0.5, 0.0], poly)
+        # the budget row is sum(y) <= b, whatever groups an item is in
+        assert membership([0.6, 0.0], poly)
+        assert not membership([0.6, 0.6], poly)
 
 
 class TestSimplex:

@@ -27,7 +27,8 @@ from fairsubmax import (
     solve_pooled_lp,
     solve_randomized,
 )
-from fairsubmax.randsolve import _SeparationContext
+from fairsubmax.lp import FairnessPolytope, feasible_point
+from fairsubmax.randsolve import _SeparationContext, _solve_pool_with_fallback
 
 from conftest import (
     random_coverage,
@@ -280,6 +281,16 @@ class TestPoolProperties:
         assert small_value == pytest.approx(2.0, abs=1e-9)
         _, opt = brute_force_lp(TOY3, oracle)
         assert grown_value == pytest.approx(opt, abs=1e-9)
+
+    def test_infeasible_pool_falls_back_to_the_feasible_point(self):
+        # the empty set alone gives neither group its 0.5; the feasible
+        # point (0.5, 0.5) decomposes into {0} and {1} at one half each
+        with pytest.raises(InfeasibleInstance):
+            solve_pooled_lp(RAND2, rand2_oracle(), [()])
+        witness = feasible_point(FairnessPolytope.from_instance(RAND2))
+        distribution, value = _solve_pool_with_fallback(RAND2, rand2_oracle(), [()], witness)
+        assert audit_distribution(distribution, RAND2, rand2_oracle()).feasible
+        assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_pooled_value_never_exceeds_brute_force(self):
         rng = np.random.default_rng(32)
