@@ -138,17 +138,22 @@ def count_feasible_sets(item_count: int, budget: int) -> int:
     return sum(math.comb(item_count, k) for k in range(top + 1))
 
 
+def check_enumeration_budget(item_count: int, budget: int, limit: int) -> None:
+    """Raise EnumerationBudgetExceeded when more than ``limit`` sets are feasible."""
+    total = count_feasible_sets(item_count, budget)
+    if total > limit:
+        raise EnumerationBudgetExceeded(
+            f"{total} feasible sets exceed the enumeration budget of {limit}"
+        )
+
+
 def enumerate_feasible_sets(
     item_count: int,
     budget: int,
     limit: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> list[tuple[int, ...]]:
     """All subsets of size <= budget in size-then-lexicographic order."""
-    total = count_feasible_sets(item_count, budget)
-    if total > limit:
-        raise EnumerationBudgetExceeded(
-            f"{total} feasible sets exceed the enumeration budget of {limit}"
-        )
+    check_enumeration_budget(item_count, budget, limit)
     top = min(budget, item_count)
     return [
         combo

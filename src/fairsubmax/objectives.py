@@ -93,8 +93,8 @@ class ObjectiveOracle(ABC):
     """Evaluates a non-negative monotone submodular set function.
 
     Subclasses implement ``_evaluate_ids`` and may override the incremental
-    ``_marginal_ids`` and the batched ``_marginals_ids`` and
-    ``_evaluate_selection_matrix`` hooks for speed, and
+    ``_marginal_ids`` and the batched ``_marginals_ids``, ``_evaluate_rows``
+    and ``_evaluate_selection_matrix`` hooks for speed, and
     ``_closed_form_extension`` / ``_closed_form_gradient`` when the
     extension has a closed form.  All public entry points validate
     item ids against the ground set ``0 .. item_count - 1``.
@@ -146,6 +146,15 @@ class ObjectiveOracle(ABC):
         for item in np.flatnonzero(outside):
             gains[item] = self._marginal_ids(int(item), ids)
         return gains
+
+    def _evaluate_rows(self, ids: np.ndarray) -> np.ndarray:
+        """Evaluate f on each row of a (sets, k) array of sorted, distinct ids.
+
+        Entry ``r`` equals ``_evaluate_ids(ids[r])`` bit for bit.
+        """
+        return np.fromiter(
+            (self._evaluate_ids(row) for row in ids), dtype=float, count=ids.shape[0]
+        )
 
     def _evaluate_selection_matrix(self, selections: np.ndarray) -> np.ndarray:
         """Evaluate f row-wise on a boolean (k, n) selection matrix."""
@@ -378,6 +387,10 @@ class ModularObjective(ObjectiveOracle):
 
     def _marginal_ids(self, item: int, ids: np.ndarray) -> float:
         return float(self._weights[item])
+
+    def _evaluate_rows(self, ids: np.ndarray) -> np.ndarray:
+        # each row sums its gathered weights as _evaluate_ids does
+        return self._weights[ids].sum(axis=1)
 
     def _marginals_ids(self, ids: np.ndarray) -> np.ndarray:
         gains = self._weights.copy()

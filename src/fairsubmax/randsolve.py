@@ -6,17 +6,20 @@ per group plus one price on the total selection probability.  A central
 cut ellipsoid decides, for a candidate objective level, whether the dual
 region capped at that level is empty; the separation oracle maximizes
 ``f(S) + sum_t |S intersect V_t| * (lower_t - upper_t)`` over sets of size
-at most ``b``, either by exact enumeration (desk scale) or by a distorted
-greedy heuristic.  A binary search finds the smallest non-empty level, the
-violated-constraint witnesses collected along the way form a polynomial
-pool of candidate sets, and one small LP over that pool yields the final
-distribution.  The output is strictly feasible and works for overlapping
-groups; with exact separation its value matches the full distribution LP
-up to the search precision.
+at most ``b``, either exactly or by a distorted greedy heuristic.  A set's
+score depends only on ``f(S)`` and its group-count vector, so exact mode
+enumerates the feasible sets once per solve (desk scale), keeps the best
+set of each count vector, and prices only those.  A binary search finds
+the smallest non-empty level, the violated-constraint witnesses collected
+along the way form a polynomial pool of candidate sets, and one small LP
+over that pool yields the final distribution.  The output is strictly
+feasible and works for overlapping groups; with exact separation its value
+matches the full distribution LP up to the search precision.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -28,7 +31,6 @@ from .instance import (
     DEFAULT_ENUMERATION_BUDGET,
     Instance,
     count_feasible_sets,
-    enumerate_feasible_sets,
     group_counts,
 )
 from .lp import (
@@ -121,12 +123,18 @@ class EllipsoidConfig:
 
 @dataclass(frozen=True, eq=False)
 class EmptinessResult:
-    """Outcome of one ellipsoid run at a fixed objective level."""
+    """Outcome of one ellipsoid run at a fixed objective level.
+
+    ``capped`` marks a run that stopped at its iteration cap, or after its
+    one restart failed, with no cut deciding emptiness; such a run reports
+    ``empty`` without proof.
+    """
 
     empty: bool
     point: DualPoint | None
     violated: list[frozenset[int]]
     iterations: int
+    capped: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,7 +200,7 @@ class RandomizedReport:
     iterations: int
     oracle_calls: int
     epsilon: float
-    certificate_type: str  # exact-lp | one-minus-inv-e
+    certificate_type: str  # exact-lp | one-minus-inv-e | none (a probe hit its cap)
     expected_counts: np.ndarray
     dual_point: DualPoint
     scaled_dual_max_violation: float
@@ -248,10 +256,9 @@ class _SeparationContext:
         if self.mode == "auto":
             self.mode = "exact" if size <= cfg.enumeration_budget else "heuristic"
         if self.mode == "exact":
-            sets = enumerate_feasible_sets(n, instance.budget, cfg.enumeration_budget)
-            self.sets = sets
-            self.set_values = np.array([oracle.evaluate(s) for s in sets])
-            self.set_counts = _set_counts(self.group_matrix, sets, min(instance.budget, n))
+            self.sets, self.set_values, self.set_counts = _best_per_count_vector(
+                oracle, self.group_matrix, instance.budget
+            )
         else:
             self.sets = None
             self.set_values = None
@@ -304,17 +311,63 @@ class _SeparationContext:
 def _set_counts(
     group_matrix: np.ndarray, sets: Sequence[tuple[int, ...]], width: int
 ) -> np.ndarray:
-    """Group counts of every set of at most ``width`` items, gathered in
-    chunks from a zero-padded group matrix; sums of 0/1 entries are exact in
-    any order."""
+    """Group counts of every set of at most ``width`` items, gathered from a
+    zero-padded group matrix."""
     n, m = group_matrix.shape
     padded = np.vstack([group_matrix, np.zeros((1, m))])
-    counts = np.empty((len(sets), m))
-    for start in range(0, len(sets), _COUNT_CHUNK):
-        chunk = sets[start : start + _COUNT_CHUNK]
-        ids = np.array([s + (n,) * (width - len(s)) for s in chunk], dtype=np.intp)
-        counts[start : start + len(chunk)] = padded[ids].sum(axis=1)
+    ids = np.array([s + (n,) * (width - len(s)) for s in sets], dtype=np.intp)
+    return _row_counts(padded, ids.reshape(len(sets), width))
+
+
+def _row_counts(group_matrix: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Group counts of each row of a (sets, k) id array, gathered in chunks;
+    sums of 0/1 entries are exact in any order."""
+    counts = np.empty((ids.shape[0], group_matrix.shape[1]))
+    for start in range(0, ids.shape[0], _COUNT_CHUNK):
+        chunk = ids[start : start + _COUNT_CHUNK]
+        counts[start : start + chunk.shape[0]] = group_matrix[chunk].sum(axis=1)
     return counts
+
+
+def _best_rows(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Indices, ascending, of the best row of each distinct count row: the
+    largest value, then the earliest row."""
+    order = np.lexsort((np.arange(values.size), -values, *counts.T))
+    ordered = counts[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return np.sort(order[first])
+
+
+def _best_per_count_vector(
+    oracle: ObjectiveOracle, group_matrix: np.ndarray, budget: int
+) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
+    """The best set of each group-count vector among all sets of at most
+    ``budget`` items, as (sets, values, counts) in size-then-lexicographic
+    order.
+
+    A set enters both the priced argmax and the distribution LP only
+    through f(S) and its counts, so no other set of the same count vector
+    can win; ties go to the earliest set, the one a full first-max argmax
+    would pick.  Each size is enumerated as one id array, scored with one
+    batched oracle call and reduced before the next size is built.
+    """
+    n = group_matrix.shape[0]
+    kept_ids, kept_values, kept_counts = [], [], []
+    for k in range(min(budget, n) + 1):
+        combos = itertools.combinations(range(n), k)
+        ids = np.fromiter(itertools.chain.from_iterable(combos), dtype=np.intp)
+        ids = ids.reshape(math.comb(n, k), k)
+        values = oracle._evaluate_rows(ids)
+        counts = _row_counts(group_matrix, ids)
+        keep = _best_rows(values, counts)
+        kept_ids.extend(tuple(row) for row in ids[keep].tolist())
+        kept_values.append(values[keep])
+        kept_counts.append(counts[keep])
+    values = np.concatenate(kept_values)
+    counts = np.concatenate(kept_counts)
+    keep = _best_rows(values, counts)
+    return [kept_ids[r] for r in keep], values[keep], counts[keep]
 
 
 def _distorted_greedy(oracle: ObjectiveOracle, item_prices: np.ndarray, steps: int) -> tuple[int, ...]:
@@ -348,9 +401,10 @@ def best_augmented_set(
     """Maximize ``f(S) + sum_t |S intersect V_t| (lower_t - upper_t)``, |S| <= b.
 
     Items in several groups accumulate every containing group's price.
-    Exact mode enumerates all feasible sets; heuristic mode runs the
-    distorted greedy and still reports the exact score of whatever it
-    returns.
+    Exact mode enumerates all feasible sets, keeps the best set of each
+    group-count vector and returns the first of those with the top score;
+    heuristic mode runs the distorted greedy and still reports the exact
+    score of whatever it returns.
     """
     lower_prices = np.asarray(lower_prices, dtype=float)
     upper_prices = np.asarray(upper_prices, dtype=float)
@@ -458,7 +512,7 @@ def _ellipsoid_run(ctx: _SeparationContext, level: float) -> EmptinessResult:
         center = center - step / (d + 1.0)
         shape = growth * (shape - (2.0 / (d + 1.0)) * np.outer(step, step))
         shape = 0.5 * (shape + shape.T)
-    return EmptinessResult(True, None, [frozenset(w) for w in witnesses], iteration)
+    return EmptinessResult(True, None, [frozenset(w) for w in witnesses], iteration, capped=True)
 
 
 # -- pooled primal ----------------------------------------------------------
@@ -579,11 +633,13 @@ def solve_randomized(
     best_point = DualPoint(np.zeros(m), np.zeros(m), float(base_score))
     probes = 0
     iterations = 0
+    capped = False
     while high - low > epsilon:
         mid = 0.5 * (low + high)
         run = _ellipsoid_run(ctx, mid)
         probes += 1
         iterations += run.iterations
+        capped = capped or run.capped
         for witness in run.violated:
             pool.setdefault(tuple(sorted(witness)))
         if run.empty:
@@ -594,6 +650,12 @@ def solve_randomized(
 
     distribution, value = _solve_pool_with_fallback(instance, oracle, list(pool), witness)
     violations = dual_scaling_violations(best_point, list(pool), instance, oracle)
+    if capped:  # an unproven "empty" may have raised low past the optimum
+        certificate = "none"
+    elif ctx.mode == "exact":
+        certificate = "exact-lp"
+    else:
+        certificate = "one-minus-inv-e"
     report = RandomizedReport(
         value=value,
         l_star=high,
@@ -603,7 +665,7 @@ def solve_randomized(
         iterations=iterations,
         oracle_calls=ctx.oracle_calls,
         epsilon=epsilon,
-        certificate_type="exact-lp" if ctx.mode == "exact" else "one-minus-inv-e",
+        certificate_type=certificate,
         expected_counts=distribution.expected_counts(instance),
         dual_point=best_point,
         scaled_dual_max_violation=float(violations.max(initial=0.0)),

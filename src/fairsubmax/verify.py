@@ -1,10 +1,11 @@
 """Ground-truth oracles and solution auditing.
 
 ``brute_force_lp`` enumerates every feasible set and solves the full
-distribution LP exactly, which is tractable only at desk scale but serves
-as the reference optimum for every solver.  ``audit_distribution`` checks
-a distribution against the fairness constraints by exact linear
-accounting, and ``sample`` draws selections reproducibly.
+distribution LP exactly over the best set of each group-count vector, which
+is tractable only at desk scale but serves as the reference optimum for
+every solver.  ``audit_distribution`` checks a distribution against the
+fairness constraints by exact linear accounting, and ``sample`` draws
+selections reproducibly.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ import numpy as np
 from .instance import (
     DEFAULT_ENUMERATION_BUDGET,
     Instance,
-    enumerate_feasible_sets,
+    check_enumeration_budget,
 )
+from .lp import FairnessPolytope
 from .objectives import ObjectiveOracle
-from .randsolve import SelectionDistribution, solve_pooled_lp
+from .randsolve import SelectionDistribution, _best_per_count_vector, solve_pooled_lp
 
 #: a distribution is feasible when no constraint is violated by more than this
 AUDIT_TOL = 1e-6
@@ -54,11 +56,15 @@ def brute_force_lp(
 ) -> tuple[SelectionDistribution, float]:
     """Exact reference solution of the distribution problem.
 
-    Enumerates the full feasible family in size-then-lexicographic order so
-    the LP column order, and therefore the returned basic optimum, is
+    Enumerates the full feasible family and keeps one column per group-count
+    vector: the LP sees a set only through f(S) and its counts, so the other
+    sets of a count vector are dominated.  Columns stay in
+    size-then-lexicographic order, so the returned basic optimum is
     reproducible.
     """
-    sets = enumerate_feasible_sets(instance.item_count, instance.budget, enumeration_budget)
+    check_enumeration_budget(instance.item_count, instance.budget, enumeration_budget)
+    matrix = FairnessPolytope.from_instance(instance).matrix
+    sets, _, _ = _best_per_count_vector(oracle, matrix, instance.budget)
     return solve_pooled_lp(instance, oracle, sets)
 
 

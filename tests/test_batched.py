@@ -1,7 +1,9 @@
-"""Batched marginal gains and the greedy loops built on them.
+"""Batched oracle calls and the loops built on them.
 
-Each property compares the one-call-per-step code with the per-item loops
-it replaced, written out here as references.
+Each property compares the batched code (marginal gains, row evaluation,
+the greedy loops and exact pricing over one set per group-count vector)
+with the per-item or per-set loops it replaced, written out here as
+references.
 """
 
 from __future__ import annotations
@@ -15,13 +17,16 @@ from hypothesis import strategies as st
 
 from fairsubmax import (
     CoverageObjective,
+    EllipsoidConfig,
     FacilityLocationObjective,
     ModularObjective,
+    enumerate_feasible_sets,
     fast_greedy,
+    group_counts,
     matroid_independent,
 )
 from fairsubmax.objectives import ObjectiveOracle
-from fairsubmax.randsolve import _distorted_greedy
+from fairsubmax.randsolve import _distorted_greedy, _SeparationContext
 
 from conftest import random_disjoint_instance, random_overlapping_instance
 
@@ -200,3 +205,77 @@ class TestFastGreedy:
         assert matroid_independent(selected, instance)
         for i in set(range(instance.item_count)) - selected:
             assert not matroid_independent(selected | {i}, instance)
+
+
+@st.composite
+def id_rows(draw):
+    """An oracle and a (sets, k) array of sorted, distinct ids."""
+    n = draw(st.integers(1, 30))
+    family = draw(st.sampled_from(FAMILIES + ("no_hook",)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if family == "no_hook":
+        oracle = SquareRootOfWeight(np.random.default_rng(seed).uniform(0.0, 5.0, size=n))
+    else:
+        oracle = make_oracle(n, family, seed, draw(st.booleans()))
+    k = draw(st.integers(0, n))
+    draws = np.random.default_rng(seed).random((draw(st.integers(0, 50)), n))
+    return oracle, np.sort(np.argsort(draws, axis=1)[:, :k], axis=1)
+
+
+class TestEvaluateRows:
+    @PROPERTY
+    @given(id_rows())
+    def test_matches_per_row_evaluate_ids_bit_for_bit(self, case):
+        oracle, ids = case
+        values = oracle._evaluate_rows(ids)
+        assert values.shape == (ids.shape[0],)
+        assert all(v == oracle._evaluate_ids(row) for v, row in zip(values.tolist(), ids))
+
+
+def full_enumeration_best_set(instance, oracle, group_prices):
+    """The priced argmax over every feasible set, first max winning."""
+    sets = enumerate_feasible_sets(instance.item_count, instance.budget)
+    values = np.array([oracle.evaluate(s) for s in sets])
+    counts = np.array([group_counts(instance, s) for s in sets], dtype=float)
+    scores = values + counts @ group_prices
+    k = int(np.argmax(scores))
+    return sets[k], float(scores[k]), float(values[k]), counts[k]
+
+
+@st.composite
+def small_instance_and_oracle(draw):
+    """Desk-scale instances: overlapping groups with items in no group, or
+    disjoint covering ones."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        instance = random_overlapping_instance(rng, n_max=12, m_max=4, b_max=4)
+    else:
+        instance = random_disjoint_instance(rng, n_max=12, m_max=4, b_max=4)
+    oracle = make_oracle(
+        instance.item_count,
+        draw(st.sampled_from(FAMILIES)),
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.booleans()),
+    )
+    return instance, oracle
+
+
+class TestExactPricing:
+    @PROPERTY
+    @given(small_instance_and_oracle(), st.data())
+    def test_matches_full_enumeration_bit_for_bit(self, case, data):
+        instance, oracle = case
+        ctx = _SeparationContext(instance, oracle, EllipsoidConfig(oracle_mode="exact"))
+        m = instance.group_count
+        prices = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=m, max_size=m))
+        for group_prices in (np.zeros(m), np.array(prices)):
+            chosen, score, fval, counts = ctx.best_set(group_prices)
+            ref_set, ref_score, ref_fval, ref_counts = full_enumeration_best_set(
+                instance, oracle, group_prices
+            )
+            assert chosen == ref_set
+            assert score == ref_score and fval == ref_fval
+            assert np.array_equal(counts, ref_counts)
+        # one set per count vector, in size-then-lexicographic order
+        assert len({tuple(c) for c in ctx.set_counts}) == len(ctx.sets)
+        assert ctx.sets == sorted(ctx.sets, key=lambda s: (len(s), s))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import shutil
@@ -198,6 +199,42 @@ class TestBenchmarkContract:
             assert all(isinstance(doc["stats"][k], int) for k in self.RAND_STATS)
         else:
             assert self.SET_KEYS <= set(doc)
+
+    # (module, attribute path) of every span the benchmark's tracer wraps;
+    # a missing name drops its metrics from the traced run
+    TRACED = [
+        ("fairsubmax.cli", "main"),
+        ("fairsubmax.instance", "load_instance"),
+        ("fairsubmax.instance", "validate"),
+        ("fairsubmax.instance", "enumerate_feasible_sets"),
+        ("fairsubmax.instance", "group_counts"),
+        ("fairsubmax.lp", "solve_simplex"),
+        ("fairsubmax.lp", "maximize_linear"),
+        ("fairsubmax.lp", "_pivot"),
+        ("fairsubmax.randsolve", "solve_randomized"),
+        ("fairsubmax.randsolve", "_SeparationContext.best_set"),
+        ("fairsubmax.randsolve", "_ellipsoid_run"),
+        ("fairsubmax.randsolve", "_SeparationContext.__init__"),
+        ("fairsubmax.detsolve", "continuous_greedy"),
+        ("fairsubmax.detsolve", "pipage_round"),
+        ("fairsubmax.detsolve", "fast_greedy"),
+        ("fairsubmax.detsolve", "matroid_independent"),
+        ("fairsubmax.verify", "audit_distribution"),
+        ("fairsubmax.objectives", "ObjectiveOracle.evaluate"),
+        ("fairsubmax.objectives", "ObjectiveOracle.marginal"),
+        ("fairsubmax.objectives", "ObjectiveOracle.extension"),
+        ("fairsubmax.objectives", "ObjectiveOracle.extension_marginal"),
+    ]
+
+    @pytest.mark.parametrize("module, path", TRACED)
+    def test_traced_name_is_defined_where_the_tracer_looks(self, module, path):
+        # the tracer reads each name from the namespace that defines it,
+        # not through inheritance
+        owner = importlib.import_module(module)
+        *outer, attr = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part)
+        assert callable(vars(owner).get(attr))
 
 
 class TestCheck:

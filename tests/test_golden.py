@@ -27,10 +27,18 @@ _COMMANDS = {
     "oracle": ["oracle"],
 }
 
+# every subcommand on the desk-scale fixtures; the randomized solver alone on
+# cover22 (n = 22, b = 4, overlapping coverage groups, 9109 feasible sets)
+_FIXTURE_COMMANDS = {
+    "toy3": tuple(_COMMANDS),
+    "rand2": tuple(_COMMANDS),
+    "cover22": ("solve-rand-exact", "solve-rand-heuristic"),
+}
+
 CASES = {
-    f"{name}-{fixture}": command + ["--instance", str(FIXTURES / f"{fixture}.json")]
-    for fixture in ("toy3", "rand2")
-    for name, command in _COMMANDS.items()
+    f"{name}-{fixture}": _COMMANDS[name] + ["--instance", str(FIXTURES / f"{fixture}.json")]
+    for fixture, names in _FIXTURE_COMMANDS.items()
+    for name in names
 }
 
 

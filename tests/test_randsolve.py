@@ -22,15 +22,18 @@ from fairsubmax import (
     brute_force_lp,
     dual_scaling_violations,
     ellipsoid_emptiness,
+    enumerate_feasible_sets,
     group_counts,
+    load_instance,
     separate,
     solve_pooled_lp,
     solve_randomized,
 )
 from fairsubmax.lp import FairnessPolytope, feasible_point
-from fairsubmax.randsolve import _SeparationContext, _solve_pool_with_fallback
+from fairsubmax.randsolve import _set_counts, _solve_pool_with_fallback
 
 from conftest import (
+    FIXTURES,
     random_coverage,
     random_modular,
     random_overlapping_instance,
@@ -102,15 +105,16 @@ class TestBestAugmentedSet:
 
 
 class TestEnumeration:
-    def test_group_counts_match_per_set_counts_across_chunks(self):
+    def test_set_counts_match_per_set_counts_across_chunks(self):
         # 10701 sets of size <= 3 out of 40 span two count chunks
         rng = np.random.default_rng(11)
         groups = [(set(rng.choice(40, size=15, replace=False).tolist()), 0, 3) for _ in range(3)]
         inst = make_instance(40, groups, 3)
-        ctx = _SeparationContext(inst, random_modular(rng, 40), EllipsoidConfig(oracle_mode="exact"))
-        assert len(ctx.sets) == 10701
-        expected = np.array([group_counts(inst, s) for s in ctx.sets], dtype=float)
-        assert np.array_equal(ctx.set_counts, expected)
+        sets = enumerate_feasible_sets(40, 3)
+        assert len(sets) == 10701
+        counts = _set_counts(FairnessPolytope.from_instance(inst).matrix, sets, 3)
+        expected = np.array([group_counts(inst, s) for s in sets], dtype=float)
+        assert np.array_equal(counts, expected)
 
     @pytest.mark.parametrize("budget", [0, -5])
     def test_enumeration_budget_below_one_is_a_config_error(self, budget):
@@ -161,13 +165,14 @@ class TestEllipsoid:
 
     def test_below_optimum_is_empty_with_witnesses(self):
         run = ellipsoid_emptiness(0.5, RAND2, rand2_oracle())
-        assert run.empty
+        assert run.empty and not run.capped
         assert frozenset({0}) in run.violated or frozenset({1}) in run.violated
 
     def test_iterations_capped(self):
         cfg = EllipsoidConfig(max_iters=3)
         run = ellipsoid_emptiness(0.5, RAND2, rand2_oracle(), cfg)
         assert run.empty and run.iterations <= 3
+        assert run.capped
 
     def test_infeasible_primal_has_nonempty_dual_levels(self):
         # with no feasible distribution the dual objective is unbounded below,
@@ -246,6 +251,18 @@ class TestSolveRandomized:
         distribution, report = solve_randomized(inst, oracle, cfg)
         assert report.mode == "heuristic"
         assert audit_distribution(distribution, inst, oracle).feasible
+
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    def test_capped_probes_claim_no_certificate(self, mode):
+        # three ellipsoid steps decide no level of cover22, so the pool
+        # misses the optimum by a fifth and no quality bound holds
+        instance, oracle = load_instance(FIXTURES / "cover22.json")
+        cfg = EllipsoidConfig(oracle_mode=mode, max_iters=3)
+        _, report = solve_randomized(instance, oracle, cfg)
+        _, optimum = brute_force_lp(instance, oracle)
+        assert report.value < 0.8 * optimum
+        assert report.certificate_type == "none"
+        assert report.to_json_obj()["certificate"] == {"type": "none", "epsilon": report.epsilon}
 
     def test_deterministic_given_same_inputs(self):
         d1, r1 = solve_randomized(TOY3, toy3_oracle())
