@@ -62,17 +62,10 @@ from .objectives import (
     oracle_from_spec,
 )
 from .randsolve import (
-    CutRow,
-    DualPoint,
     EllipsoidConfig,
-    EmptinessResult,
     RandomizedReport,
     SelectionDistribution,
-    SeparationOutcome,
     best_augmented_set,
-    dual_scaling_violations,
-    ellipsoid_emptiness,
-    separate,
     solve_pooled_lp,
     solve_randomized,
 )
@@ -83,12 +76,9 @@ __all__ = [
     "ConfigError",
     "ContinuousGreedyConfig",
     "CoverageObjective",
-    "CutRow",
     "DEFAULT_ENUMERATION_BUDGET",
     "DeterministicSolution",
-    "DualPoint",
     "EllipsoidConfig",
-    "EmptinessResult",
     "EmptyPolytope",
     "EnumerationBudgetExceeded",
     "EstimationConfig",
@@ -112,15 +102,12 @@ __all__ = [
     "RandomizedReport",
     "RoundingTrace",
     "SelectionDistribution",
-    "SeparationOutcome",
     "StructureReport",
     "audit_distribution",
     "best_augmented_set",
     "brute_force_lp",
     "continuous_greedy",
     "count_feasible_sets",
-    "dual_scaling_violations",
-    "ellipsoid_emptiness",
     "enumerate_feasible_sets",
     "fast_greedy",
     "group_counts",
@@ -133,7 +120,6 @@ __all__ = [
     "polytope_linear_program",
     "sample",
     "save_instance",
-    "separate",
     "solve_deterministic",
     "solve_pooled_lp",
     "solve_randomized",

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: ``solve-det`` (continuous greedy plus pipage rounding),
-``solve-greedy`` (fast matroid greedy), ``solve-rand`` (ellipsoid-based
+``solve-greedy`` (fast matroid greedy), ``solve-rand`` (column-generation
 distribution solver), ``oracle`` (brute-force reference LP), ``check``
 (audit a result file against an instance), and ``bench`` (run every solver
 over a directory of instances and print a comparison table).
@@ -68,7 +68,7 @@ def main(argv=None) -> int:
 #: every flag a subcommand may take beyond --instance, --out and --format
 _FLAGS = {
     "--delta": dict(type=int, default=None, help="continuous greedy iteration count"),
-    "--epsilon-l": dict(type=float, default=None, help="binary search precision"),
+    "--epsilon-l": dict(type=float, default=None, help="reduced-cost tolerance of column generation"),
     "--oracle-mode": dict(choices=("exact", "heuristic", "auto"), default="auto"),
     "--enum-budget": dict(type=int, default=1_000_000, help="enumeration budget, at least 1"),
     "--trace": dict(default=None, help="write a line-delimited JSON run trace"),

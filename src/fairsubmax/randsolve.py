@@ -1,25 +1,25 @@
 """Randomized solver: an explicit distribution over feasible sets.
 
-The distribution problem has one variable per feasible set, so it is
-attacked through its dual, which has ``2m + 1`` variables: a price pair
-per group plus one price on the total selection probability.  A central
-cut ellipsoid decides, for a candidate objective level, whether the dual
-region capped at that level is empty; the separation oracle maximizes
-``f(S) + sum_t |S intersect V_t| * (lower_t - upper_t)`` over sets of size
-at most ``b``, either exactly or by a distorted greedy heuristic.  A set's
-score depends only on ``f(S)`` and its group-count vector, so exact mode
-enumerates the feasible sets once per solve (desk scale), keeps the best
-set of each count vector, and prices only those.  A binary search finds
-the smallest non-empty level, the violated-constraint witnesses collected
-along the way form a polynomial pool of candidate sets, and one small LP
-over that pool yields the final distribution.  The output is strictly
-feasible and works for overlapping groups; with exact separation its value
-matches the full distribution LP up to the search precision.
+The distribution problem has one variable per feasible set, so it is solved
+by column generation.  A master LP maximizes ``sum_S f(S) p_S`` over a small
+pool of sets, subject to the group windows in expectation and ``sum p <= 1``
+(leftover probability sits on the empty set).  Its duals price each group;
+a set whose ``f(S) + sum_t |S intersect V_t| * price_t`` exceeds the dual of
+the probability row by more than the tolerance joins the pool, and the loop
+ends when pricing finds no such set.
+
+Pricing is the same in every mode: a distorted greedy first, and when it
+finds no improving set, a depth-first branch and bound that either finds
+one or proves that none exists.  Exact mode runs the branch and bound
+uncapped, so the final master is the full distribution LP's optimum up to
+the tolerance; heuristic mode caps its nodes, and termination then rests on
+the greedy's ``(1 - 1/e)`` guarantee.  The output is strictly feasible and
+works for overlapping groups.
 """
 
 from __future__ import annotations
 
-import itertools
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -37,72 +37,35 @@ from .lp import (
     FairnessPolytope,
     LinearConstraint,
     LinearProgram,
+    LpSolution,
     feasible_point,
     solve_simplex,
     window_rows,
 )
 from .objectives import ObjectiveOracle
 
-#: approximation factor carried by the heuristic separation oracle
-HEURISTIC_FACTOR = 1.0 - 1.0 / math.e
+#: branch-and-bound node cap of each pricing search in heuristic mode
+HEURISTIC_NODE_CAP = 2000
 
 _MODES = ("exact", "heuristic", "auto")
 
 #: sets per chunk when gathering the group counts of many sets
 _COUNT_CHUNK = 8192
 
-#: a dual point violates a row when it exceeds the row by more than this
-CUT_TOL = 1e-7
-
-
-@dataclass(frozen=True, eq=False)
-class DualPoint:
-    """Dual prices: one pair per group plus the budget price."""
-
-    lower_prices: np.ndarray
-    upper_prices: np.ndarray
-    budget_price: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lower_prices", np.asarray(self.lower_prices, dtype=float))
-        object.__setattr__(self, "upper_prices", np.asarray(self.upper_prices, dtype=float))
-        object.__setattr__(self, "budget_price", float(self.budget_price))
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.lower_prices, self.upper_prices, [self.budget_price]])
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray) -> "DualPoint":
-        m = (vec.size - 1) // 2
-        return cls(vec[:m].copy(), vec[m : 2 * m].copy(), float(vec[-1]))
-
-
-@dataclass(frozen=True, eq=False)
-class CutRow:
-    """A violated inequality ``normal . v <= rhs`` over the dual vector."""
-
-    normal: np.ndarray
-    rhs: float
-
-
-@dataclass(frozen=True, eq=False)
-class SeparationOutcome:
-    """Either the point is inside, or a cut (with its witness set) is returned."""
-
-    verdict: str  # inside | cut
-    cut_row: CutRow | None = None
-    witness: frozenset[int] | None = None
-
 
 @dataclass(frozen=True)
 class EllipsoidConfig:
     """Precision and budget knobs for the randomized solver.
 
-    ``epsilon_l`` is the binary-search precision on the objective level
-    (default ``1e-4 * f(V)``), ``max_iters`` the per-run iteration cap
-    (default ``ceil(2 d (d+1) ln(R / CUT_TOL))``), and ``oracle_mode``
-    selects exact enumeration, the greedy heuristic, or automatic selection
-    by enumeration size.
+    ``epsilon_l`` is the reduced-cost tolerance of column generation
+    (default ``1e-9 * max(1, f(V))``): a set joins the master only when it
+    beats the master's dual bound by more than this.  ``max_iters`` caps the
+    branch-and-bound nodes of each pricing search (default: uncapped in
+    exact mode, ``HEURISTIC_NODE_CAP`` in heuristic mode).  ``oracle_mode``
+    selects exact pricing, capped heuristic pricing, or automatic selection
+    by the number of feasible sets; exact mode refuses instances with more
+    than ``enumeration_budget`` feasible sets.  The name predates column
+    generation and stays for existing callers.
     """
 
     epsilon_l: float | None = None
@@ -119,22 +82,6 @@ class EllipsoidConfig:
             raise ConfigError(f"oracle_mode must be one of {_MODES}")
         if self.enumeration_budget < 1:
             raise ConfigError("enumeration_budget must be at least 1")
-
-
-@dataclass(frozen=True, eq=False)
-class EmptinessResult:
-    """Outcome of one ellipsoid run at a fixed objective level.
-
-    ``capped`` marks a run that stopped at its iteration cap, or after its
-    one restart failed, with no cut deciding emptiness; such a run reports
-    ``empty`` without proof.
-    """
-
-    empty: bool
-    point: DualPoint | None
-    violated: list[frozenset[int]]
-    iterations: int
-    capped: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +102,9 @@ class SelectionDistribution:
     @classmethod
     def from_support(cls, pairs: Iterable[tuple[Iterable[int], float]]) -> "SelectionDistribution":
         support = tuple((frozenset(s), float(p)) for s, p in pairs if p > 0.0)
-        residual = 1.0 - sum(p for _, p in support)
+        # rounding can push the support mass a few ulps past one; a mass
+        # really above one still fails the audit's support-mass check
+        residual = max(0.0, 1.0 - sum(p for _, p in support))
         return cls(support, residual)
 
     @classmethod
@@ -190,7 +139,13 @@ class SelectionDistribution:
 
 @dataclass(frozen=True, eq=False)
 class RandomizedReport:
-    """Run diagnostics and the certified quality bound."""
+    """Run diagnostics and the certified quality bound.
+
+    ``l_star`` is the master LP's value at termination.  The counters are
+    ``probes`` (master LP solves), ``iterations`` (branch-and-bound nodes),
+    ``oracle_calls`` (pricing calls) and ``pool_size`` (master columns); the
+    JSON keeps their historical names.
+    """
 
     value: float
     l_star: float
@@ -200,10 +155,8 @@ class RandomizedReport:
     iterations: int
     oracle_calls: int
     epsilon: float
-    certificate_type: str  # exact-lp | one-minus-inv-e | none (a probe hit its cap)
+    certificate_type: str  # exact-lp | one-minus-inv-e
     expected_counts: np.ndarray
-    dual_point: DualPoint
-    scaled_dual_max_violation: float
 
     def to_json_obj(self) -> dict:
         return {
@@ -215,38 +168,29 @@ class RandomizedReport:
                 "probes": self.probes,
                 "ellipsoid_iterations": self.iterations,
                 "oracle_calls": self.oracle_calls,
-                "scaled_dual_max_violation": self.scaled_dual_max_violation,
             },
         }
 
 
-# -- separation machinery ---------------------------------------------------
+# -- pricing ------------------------------------------------------------------
 
 
 class _SeparationContext:
-    """Precomputed arrays shared by every separation call of one solve."""
+    """The pricing oracle of one solve: distorted greedy, then branch and bound.
+
+    perfbench/tracer.py times ``__init__`` and ``best_set`` under these names.
+    """
 
     def __init__(self, instance: Instance, oracle: ObjectiveOracle, cfg: EllipsoidConfig):
         self.instance = instance
         self.oracle = oracle
-        self.cfg = cfg
-        n = instance.item_count
-        m = instance.group_count
-        self.dim = 2 * m + 1
         self.group_matrix = FairnessPolytope.from_instance(instance).matrix
-        self.value_full = oracle.evaluate(range(n))
-        # the dual search box: group prices up to f(V) + 1, and a budget
-        # price that covers f(V) plus every group price on b items
-        price_cap = self.value_full + 1.0
-        self.caps = np.concatenate(
-            [np.full(2 * m, price_cap), [self.value_full + instance.budget * m * price_cap]]
-        )
-        self.objective_row = np.concatenate(
-            [-instance.alphas, instance.betas, [1.0]]
-        )
+        self.value_full = oracle.evaluate(range(instance.item_count))
         self.oracle_calls = 0
+        self.nodes = 0
+        self.exhaustive = False  # the last call's branch and bound ran uncapped
 
-        size = count_feasible_sets(n, instance.budget)
+        size = count_feasible_sets(instance.item_count, instance.budget)
         if cfg.oracle_mode == "exact" and size > cfg.enumeration_budget:
             raise EnumerationBudgetExceeded(
                 f"{size} feasible sets exceed the enumeration budget of "
@@ -255,57 +199,156 @@ class _SeparationContext:
         self.mode = cfg.oracle_mode
         if self.mode == "auto":
             self.mode = "exact" if size <= cfg.enumeration_budget else "heuristic"
-        if self.mode == "exact":
-            self.sets, self.set_values, self.set_counts = _best_per_count_vector(
-                oracle, self.group_matrix, instance.budget
-            )
-        else:
-            self.sets = None
-            self.set_values = None
-            self.set_counts = None
+        self.node_cap = cfg.max_iters
+        if self.node_cap is None and self.mode == "heuristic":
+            self.node_cap = HEURISTIC_NODE_CAP
 
-    def best_set(self, group_prices: np.ndarray) -> tuple[tuple[int, ...], float, float, np.ndarray]:
-        """Maximize f(S) plus the group-priced count term; returns
-        (set, score, f(S), group counts)."""
+    def column(self, chosen: tuple[int, ...]) -> tuple[float, np.ndarray]:
+        """f and the group counts of a sorted id tuple."""
+        ids = np.array(chosen, dtype=np.intp)
+        return self.oracle._evaluate_ids(ids), self.group_matrix[ids].sum(axis=0)
+
+    def best_set(
+        self, group_prices: np.ndarray, floor: float | None = None
+    ) -> tuple[tuple[int, ...], float, float, np.ndarray]:
+        """Maximize f(S) plus the group-priced count term over |S| <= b;
+        returns (set, score, f(S), group counts).
+
+        With a ``floor``, the greedy's set is returned when it scores above
+        the floor, and otherwise the branch and bound looks for the best set
+        above it, returning the greedy's set when it finds none.  Without
+        one, the branch and bound maximizes from the greedy's score.
+        """
         self.oracle_calls += 1
-        if self.mode == "exact":
-            scores = self.set_values + self.set_counts @ group_prices
-            k = int(np.argmax(scores))  # first max: smallest size, then lexicographic
-            return self.sets[k], float(scores[k]), float(self.set_values[k]), self.set_counts[k]
+        self.exhaustive = False
         item_prices = self.group_matrix @ group_prices
-        chosen = _distorted_greedy(
-            self.oracle, item_prices, min(self.instance.budget, self.instance.item_count)
+        budget = min(self.instance.budget, self.instance.item_count)
+        chosen = _distorted_greedy(self.oracle, item_prices, budget)
+        fval, counts = self.column(chosen)
+        score = fval + float(counts @ group_prices)
+        if floor is not None and score > floor:
+            return chosen, score, fval, counts
+        found, nodes, capped = _branch_and_bound(
+            self.oracle, item_prices, budget, score if floor is None else floor, self.node_cap
         )
-        fval = self.oracle.evaluate(chosen)
-        if chosen:
-            counts = self.group_matrix[list(chosen)].sum(axis=0)
-            score = fval + float(item_prices[list(chosen)].sum())
-        else:
-            counts = np.zeros(self.instance.group_count)
-            score = fval
-        return chosen, score, fval, counts
+        self.nodes += nodes
+        self.exhaustive = not capped
+        if found is None:
+            return chosen, score, fval, counts
+        fval, counts = self.column(found)
+        return found, fval + float(counts @ group_prices), fval, counts
 
-    def check_point(self, vec: np.ndarray, level: float):
-        """Return None when inside, else (normal, rhs, witness or None)."""
-        low = np.flatnonzero(vec < -CUT_TOL)
-        if low.size:
-            normal = np.zeros(self.dim)
-            normal[low[0]] = -1.0
-            return normal, 0.0, None
-        high = np.flatnonzero(vec > self.caps + CUT_TOL)
-        if high.size:
-            normal = np.zeros(self.dim)
-            normal[high[0]] = 1.0
-            return normal, float(self.caps[high[0]]), None
-        if float(self.objective_row @ vec) > level + CUT_TOL:
-            return self.objective_row, float(level), None
-        m = self.instance.group_count
-        group_prices = vec[:m] - vec[m : 2 * m]
-        witness, score, fval, counts = self.best_set(group_prices)
-        if score > vec[-1] + CUT_TOL:
-            normal = np.concatenate([counts, -counts, [-1.0]])
-            return normal, -fval, tuple(witness)
-        return None
+
+def _distorted_greedy(oracle: ObjectiveOracle, item_prices: np.ndarray, steps: int) -> tuple[int, ...]:
+    """Distorted greedy for a submodular-plus-modular objective.
+
+    Positive prices fold into the submodular part, negative prices stay
+    modular; a candidate joins only when its distorted gain is positive,
+    and ties go to the lowest id.  Each step makes one batched marginal call.
+    """
+    positive = np.maximum(item_prices, 0.0)
+    negative = np.minimum(item_prices, 0.0)
+    member = np.zeros(item_prices.size, dtype=bool)
+    for step in range(steps):
+        factor = (1.0 - 1.0 / steps) ** (steps - step - 1)
+        gains = factor * (oracle._marginals_ids(np.flatnonzero(member)) + positive) + negative
+        gains[member] = -np.inf
+        best = int(np.argmax(gains))
+        if gains[best] > 0.0:
+            member[best] = True
+    return tuple(int(i) for i in np.flatnonzero(member))
+
+
+def _later_top_sums(gains: list[float], k: int) -> list[float]:
+    """Entry j: the sum of the ``k`` largest of ``gains[j + 1:]``."""
+    out = [0.0] * len(gains)
+    heap: list[float] = []
+    for j in range(len(gains) - 1, 0, -1):
+        heapq.heappush(heap, gains[j])
+        if len(heap) > k:
+            heapq.heappop(heap)
+        out[j - 1] = sum(heap)
+    return out
+
+
+def _branch_and_bound(
+    oracle: ObjectiveOracle,
+    item_prices: np.ndarray,
+    budget: int,
+    floor: float,
+    node_cap: int | None,
+) -> tuple[tuple[int, ...] | None, int, bool]:
+    """Depth-first search for the set of at most ``budget`` items with the
+    largest ``g(S) = f(S) + item_prices(S)`` above ``floor``.
+
+    Returns (that set or None, nodes, capped).  A node is a set whose
+    children add one id above its last; it makes one batched marginal call.
+    By submodularity no superset of S scores above g(S) plus the top
+    ``budget - |S|`` positive gains at S, so a node whose bound is at most
+    the best score so far is pruned, and an item with a non-positive gain
+    opens no child: every set through it scores no more without it.
+    ``capped`` marks a search stopped at ``node_cap`` nodes, which proves
+    nothing about the sets it did not reach.
+    """
+    best: tuple[int, ...] | None = None
+    threshold = floor
+    empty = float(oracle._evaluate_ids(np.empty(0, dtype=np.intp)))
+    if empty > threshold:
+        best, threshold = (), empty
+    nodes = 0
+    stack: list[tuple[tuple[int, ...], float, float]] = [((), empty, math.inf)]
+    while stack:
+        ids, score, bound = stack.pop()
+        if bound <= threshold:
+            continue
+        if node_cap is not None and nodes >= node_cap:
+            return best, nodes, True
+        nodes += 1
+        gains = oracle._marginals_ids(np.array(ids, dtype=np.intp)) + item_prices
+        start = ids[-1] + 1 if ids else 0
+        candidates = (np.flatnonzero(gains[start:] > 0.0) + start).tolist()
+        positive = gains[candidates].tolist()
+        room = budget - len(ids)
+        if score + sum(heapq.nlargest(room, positive)) <= threshold:
+            continue
+        later = _later_top_sums(positive, room - 1)
+        children = []
+        for i, gain, rest in zip(candidates, positive, later):
+            child = score + gain
+            if child > threshold:
+                best, threshold = ids + (i,), child
+            if room > 1 and child + rest > threshold:
+                children.append((ids + (i,), child, child + rest))
+        stack.extend(reversed(children))  # lowest id first
+    return best, nodes, False
+
+
+def best_augmented_set(
+    oracle: ObjectiveOracle,
+    instance: Instance,
+    lower_prices,
+    upper_prices,
+    mode: str = "exact",
+    enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
+) -> tuple[frozenset[int], float]:
+    """Maximize ``f(S) + sum_t |S intersect V_t| (lower_t - upper_t)``, |S| <= b.
+
+    Items in several groups accumulate every containing group's price.
+    The distorted greedy's set seeds a branch and bound, which is exact in
+    exact mode and capped at ``HEURISTIC_NODE_CAP`` nodes in heuristic mode;
+    the returned score is always the exact score of the returned set.
+    """
+    lower_prices = np.asarray(lower_prices, dtype=float)
+    upper_prices = np.asarray(upper_prices, dtype=float)
+    if lower_prices.size != instance.group_count or upper_prices.size != instance.group_count:
+        raise ValueError("one price pair per group required")
+    cfg = EllipsoidConfig(oracle_mode=mode, enumeration_budget=enumeration_budget)
+    ctx = _SeparationContext(instance, oracle, cfg)
+    chosen, score, _, _ = ctx.best_set(lower_prices - upper_prices)
+    return frozenset(chosen), score
+
+
+# -- master LP ---------------------------------------------------------------
 
 
 def _set_counts(
@@ -329,193 +372,21 @@ def _row_counts(group_matrix: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _best_rows(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Indices, ascending, of the best row of each distinct count row: the
-    largest value, then the earliest row."""
-    order = np.lexsort((np.arange(values.size), -values, *counts.T))
-    ordered = counts[order]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    return np.sort(order[first])
+def _pool_lp(polytope: FairnessPolytope, values: np.ndarray, counts: np.ndarray) -> LpSolution:
+    """max values . p  subject to the group windows on counts.T p and sum p <= 1."""
+    rows = window_rows(counts, polytope.lowers, polytope.uppers)
+    rows.append(LinearConstraint(np.ones(values.size), "<=", 1.0))
+    return solve_simplex(LinearProgram(values, tuple(rows)))
 
 
-def _best_per_count_vector(
-    oracle: ObjectiveOracle, group_matrix: np.ndarray, budget: int
-) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
-    """The best set of each group-count vector among all sets of at most
-    ``budget`` items, as (sets, values, counts) in size-then-lexicographic
-    order.
-
-    A set enters both the priced argmax and the distribution LP only
-    through f(S) and its counts, so no other set of the same count vector
-    can win; ties go to the earliest set, the one a full first-max argmax
-    would pick.  Each size is enumerated as one id array, scored with one
-    batched oracle call and reduced before the next size is built.
-    """
-    n = group_matrix.shape[0]
-    kept_ids, kept_values, kept_counts = [], [], []
-    for k in range(min(budget, n) + 1):
-        combos = itertools.combinations(range(n), k)
-        ids = np.fromiter(itertools.chain.from_iterable(combos), dtype=np.intp)
-        ids = ids.reshape(math.comb(n, k), k)
-        values = oracle._evaluate_rows(ids)
-        counts = _row_counts(group_matrix, ids)
-        keep = _best_rows(values, counts)
-        kept_ids.extend(tuple(row) for row in ids[keep].tolist())
-        kept_values.append(values[keep])
-        kept_counts.append(counts[keep])
-    values = np.concatenate(kept_values)
-    counts = np.concatenate(kept_counts)
-    keep = _best_rows(values, counts)
-    return [kept_ids[r] for r in keep], values[keep], counts[keep]
-
-
-def _distorted_greedy(oracle: ObjectiveOracle, item_prices: np.ndarray, steps: int) -> tuple[int, ...]:
-    """Distorted greedy for a submodular-plus-modular objective.
-
-    Positive prices fold into the submodular part, negative prices stay
-    modular; a candidate joins only when its distorted gain is positive,
-    and ties go to the lowest id.  Each step makes one batched marginal call.
-    """
-    positive = np.maximum(item_prices, 0.0)
-    negative = np.minimum(item_prices, 0.0)
-    member = np.zeros(item_prices.size, dtype=bool)
-    for step in range(steps):
-        factor = (1.0 - 1.0 / steps) ** (steps - step - 1)
-        gains = factor * (oracle._marginals_ids(np.flatnonzero(member)) + positive) + negative
-        gains[member] = -np.inf
-        best = int(np.argmax(gains))
-        if gains[best] > 0.0:
-            member[best] = True
-    return tuple(int(i) for i in np.flatnonzero(member))
-
-
-def best_augmented_set(
-    oracle: ObjectiveOracle,
-    instance: Instance,
-    lower_prices,
-    upper_prices,
-    mode: str = "exact",
-    enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> tuple[frozenset[int], float]:
-    """Maximize ``f(S) + sum_t |S intersect V_t| (lower_t - upper_t)``, |S| <= b.
-
-    Items in several groups accumulate every containing group's price.
-    Exact mode enumerates all feasible sets, keeps the best set of each
-    group-count vector and returns the first of those with the top score;
-    heuristic mode runs the distorted greedy and still reports the exact
-    score of whatever it returns.
-    """
-    lower_prices = np.asarray(lower_prices, dtype=float)
-    upper_prices = np.asarray(upper_prices, dtype=float)
-    if lower_prices.size != instance.group_count or upper_prices.size != instance.group_count:
-        raise ValueError("one price pair per group required")
-    cfg = EllipsoidConfig(oracle_mode=mode, enumeration_budget=enumeration_budget)
-    ctx = _SeparationContext(instance, oracle, cfg)
-    chosen, score, _, _ = ctx.best_set(lower_prices - upper_prices)
-    return frozenset(chosen), score
-
-
-def separate(
-    point: DualPoint,
-    level: float,
-    instance: Instance,
-    oracle: ObjectiveOracle,
-    cfg: EllipsoidConfig | None = None,
-) -> SeparationOutcome:
-    """Test a dual point against the level-capped dual region.
-
-    Checks run in order: non-negativity and box rows, the objective-level
-    row, then the set-generation oracle.  The first violation (beyond the
-    cut tolerance) is returned as a cut.
-    """
-    cfg = cfg or EllipsoidConfig()
-    ctx = _SeparationContext(instance, oracle, cfg)
-    return _separate_with_context(ctx, point, level)
-
-
-def _separate_with_context(
-    ctx: _SeparationContext, point: DualPoint, level: float
-) -> SeparationOutcome:
-    result = ctx.check_point(point.as_vector(), level)
-    if result is None:
-        return SeparationOutcome("inside")
-    normal, rhs, witness = result
-    return SeparationOutcome(
-        "cut",
-        CutRow(normal, rhs),
-        frozenset(witness) if witness is not None else None,
+def _pool_distribution(
+    ordered: Sequence[tuple[int, ...]], solution: LpSolution
+) -> SelectionDistribution:
+    return SelectionDistribution.from_support(
+        (ordered[k], float(p))
+        for k, p in enumerate(solution.x)
+        if p > 1e-12 and len(ordered[k]) > 0
     )
-
-
-# -- ellipsoid --------------------------------------------------------------
-
-
-def ellipsoid_emptiness(
-    level: float,
-    instance: Instance,
-    oracle: ObjectiveOracle,
-    cfg: EllipsoidConfig | None = None,
-) -> EmptinessResult:
-    """Decide emptiness of the level-capped dual region inside the search box."""
-    cfg = cfg or EllipsoidConfig()
-    ctx = _SeparationContext(instance, oracle, cfg)
-    return _ellipsoid_run(ctx, level)
-
-
-def _ellipsoid_run(ctx: _SeparationContext, level: float) -> EmptinessResult:
-    d = ctx.dim
-    cfg = ctx.cfg
-    center0 = ctx.caps / 2.0
-    radius = float(np.linalg.norm(ctx.caps) / 2.0) or 1.0
-    max_iters = cfg.max_iters
-    if max_iters is None:
-        span = max(radius / CUT_TOL, math.e)
-        max_iters = math.ceil(2 * d * (d + 1) * math.log(span))
-
-    center = center0.copy()
-    shape = np.eye(d) * radius * radius
-    witnesses: dict[tuple[int, ...], None] = {}
-    reinitialized = False
-    growth = d * d / (d * d - 1.0)
-
-    iteration = 0
-    while iteration < max_iters:
-        iteration += 1
-        result = ctx.check_point(center, level)
-        if result is None:
-            return EmptinessResult(
-                False,
-                DualPoint.from_vector(center),
-                [frozenset(w) for w in witnesses],
-                iteration,
-            )
-        normal, rhs, witness = result
-        if witness is not None:
-            witnesses.setdefault(witness)
-        shaped = shape @ normal
-        spread2 = float(normal @ shaped)
-        if not math.isfinite(spread2) or spread2 <= 0.0:
-            # shape matrix lost positive definiteness: restart once
-            if reinitialized:
-                break
-            reinitialized = True
-            center = center0.copy()
-            shape = np.eye(d) * radius * radius
-            continue
-        spread = math.sqrt(spread2)
-        depth = float(normal @ center) - rhs
-        if depth > spread:
-            # the cut excludes the whole ellipsoid: the region is empty
-            return EmptinessResult(True, None, [frozenset(w) for w in witnesses], iteration)
-        step = shaped / spread
-        center = center - step / (d + 1.0)
-        shape = growth * (shape - (2.0 / (d + 1.0)) * np.outer(step, step))
-        shape = 0.5 * (shape + shape.T)
-    return EmptinessResult(True, None, [frozenset(w) for w in witnesses], iteration, capped=True)
-
-
-# -- pooled primal ----------------------------------------------------------
 
 
 def solve_pooled_lp(
@@ -528,41 +399,11 @@ def solve_pooled_lp(
     values = np.array([oracle.evaluate(s) for s in ordered])
     polytope = FairnessPolytope.from_instance(instance)
     width = len(ordered[-1]) if ordered else 0
-    counts = _set_counts(polytope.matrix, ordered, width)
-    rows = window_rows(counts, polytope.lowers, polytope.uppers)
-    rows.append(LinearConstraint(np.ones(len(ordered)), "<=", 1.0))
-    solution = solve_simplex(LinearProgram(values, tuple(rows)))
+    solution = _pool_lp(polytope, values, _set_counts(polytope.matrix, ordered, width))
     if solution.status != "optimal":
         raise InfeasibleInstance("no distribution over the candidate sets is feasible")
-    pairs = [
-        (ordered[k], float(p))
-        for k, p in enumerate(solution.x)
-        if p > 1e-12 and len(ordered[k]) > 0
-    ]
-    distribution = SelectionDistribution.from_support(pairs)
+    distribution = _pool_distribution(ordered, solution)
     return distribution, distribution.expected_value(oracle)
-
-
-def dual_scaling_violations(
-    point: DualPoint,
-    sets: Sequence[tuple[int, ...]],
-    instance: Instance,
-    oracle: ObjectiveOracle,
-    factor: float = HEURISTIC_FACTOR,
-) -> np.ndarray:
-    """Constraint violations of the factor-scaled dual point on a set pool.
-
-    Scaling every price by ``1 / factor`` must keep each pooled row
-    ``budget_price >= f(S) + modular term`` satisfied; the returned array
-    holds the positive part of each row's violation.
-    """
-    price = point.lower_prices - point.upper_prices
-    out = np.zeros(len(sets))
-    for k, s in enumerate(sets):
-        counts = group_counts(instance, s)
-        lhs = factor * oracle.evaluate(s) + float(counts @ price)
-        out[k] = max(0.0, lhs - point.budget_price)
-    return out
 
 
 def _decompose_fractional(y: np.ndarray, budget: int) -> list[tuple[int, ...]]:
@@ -589,6 +430,45 @@ def _decompose_fractional(y: np.ndarray, budget: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _master_loop(
+    ctx: _SeparationContext,
+    polytope: FairnessPolytope,
+    pool: dict[tuple[int, ...], tuple[float, np.ndarray]],
+    epsilon: float,
+) -> tuple[list[tuple[int, ...]], LpSolution, int]:
+    """Column generation over ``pool`` (set -> (f, counts)), which grows in
+    place; returns the final columns, the final master solution and the
+    number of master solves.
+
+    Columns are ordered by size, then lexicographically, so that repeats
+    give the same basis.  The loop ends when pricing finds no set above the
+    probability row's dual plus ``epsilon``, or returns a pooled set, whose
+    reduced cost can only be rounding in the master's duals.
+    """
+    m = polytope.group_count
+    probes = 0
+    while True:
+        ordered = sorted(pool, key=lambda s: (len(s), s))
+        values = np.array([pool[s][0] for s in ordered])
+        counts = np.array([pool[s][1] for s in ordered])
+        solution = _pool_lp(polytope, values, counts)
+        probes += 1
+        if solution.status != "optimal":
+            raise InfeasibleInstance("no distribution over the candidate sets is feasible")
+        duals = solution.duals
+        group_prices = -(duals[0 : 2 * m : 2] + duals[1 : 2 * m : 2])
+        floor = float(duals[-1]) + epsilon
+        chosen, score, fval, set_counts = ctx.best_set(group_prices, floor)
+        if score <= floor or chosen in pool:
+            return ordered, solution, probes
+        pool[chosen] = (fval, set_counts)
+
+
+# perfbench/tracer.py times the master loop as randsolve.outer_search under
+# this name; solve_randomized calls the loop through the module namespace
+_ellipsoid_run = _master_loop
+
+
 # -- end-to-end solver -------------------------------------------------------
 
 
@@ -599,92 +479,41 @@ def solve_randomized(
 ) -> tuple[SelectionDistribution, RandomizedReport]:
     """Compute a strictly feasible distribution over feasible sets.
 
-    Binary search on the dual objective level drives repeated ellipsoid
-    emptiness tests; every witness of a violated constraint joins the
-    candidate pool, and the final distribution is the optimal basic
-    solution of the pooled LP with leftover probability parked on the
-    empty set.
+    The pool starts with the empty set, the greedy set at zero prices and a
+    decomposition of one point of the fairness polytope, so the first master
+    LP is feasible.  Column generation then grows it until pricing proves
+    (exact mode) or the greedy fails to find (heuristic mode, or a capped
+    search) an improving set.  The distribution is the final master's basic
+    optimum, with leftover probability parked on the empty set.
     """
     cfg = cfg or EllipsoidConfig()
-    witness = feasible_point(FairnessPolytope.from_instance(instance))
+    polytope = FairnessPolytope.from_instance(instance)
+    witness = feasible_point(polytope)
     if witness is None:
         raise InfeasibleInstance("no distribution can satisfy the fairness constraints")
     ctx = _SeparationContext(instance, oracle, cfg)
-
     epsilon = cfg.epsilon_l
     if epsilon is None:
-        epsilon = max(1e-4 * ctx.value_full, 1e-12)
+        epsilon = 1e-9 * max(1.0, ctx.value_full)
 
-    m = instance.group_count
-    pool: dict[tuple[int, ...], None] = {(): None}
-    base_set, base_score, _, _ = ctx.best_set(np.zeros(m))
-    pool.setdefault(tuple(base_set))
-    for t in range(m):
-        # favor each group once so its sets reach the pool early
-        probe = np.zeros(m)
-        probe[t] = ctx.caps[t]
-        probed, _, _, _ = ctx.best_set(probe)
-        pool.setdefault(tuple(probed))
+    greedy, _, fval, counts = ctx.best_set(np.zeros(instance.group_count), -math.inf)
+    pool = {(): ctx.column(()), greedy: (fval, counts)}
+    for s in _decompose_fractional(witness, instance.budget):
+        pool.setdefault(s, ctx.column(s))
+    ordered, solution, probes = _master_loop(ctx, polytope, pool, epsilon)
 
-    # the all-zero price point with the best unpriced score is feasible at
-    # the top of the search range, so the range starts certified non-empty
-    low = 0.0
-    high = float(base_score)
-    best_point = DualPoint(np.zeros(m), np.zeros(m), float(base_score))
-    probes = 0
-    iterations = 0
-    capped = False
-    while high - low > epsilon:
-        mid = 0.5 * (low + high)
-        run = _ellipsoid_run(ctx, mid)
-        probes += 1
-        iterations += run.iterations
-        capped = capped or run.capped
-        for witness in run.violated:
-            pool.setdefault(tuple(sorted(witness)))
-        if run.empty:
-            low = mid
-        else:
-            high = mid
-            best_point = run.point
-
-    distribution, value = _solve_pool_with_fallback(instance, oracle, list(pool), witness)
-    violations = dual_scaling_violations(best_point, list(pool), instance, oracle)
-    if capped:  # an unproven "empty" may have raised low past the optimum
-        certificate = "none"
-    elif ctx.mode == "exact":
-        certificate = "exact-lp"
-    else:
-        certificate = "one-minus-inv-e"
+    distribution = _pool_distribution(ordered, solution)
+    exact = ctx.mode == "exact" and ctx.exhaustive
     report = RandomizedReport(
-        value=value,
-        l_star=high,
+        value=distribution.expected_value(oracle),
+        l_star=float(solution.value),
         mode=ctx.mode,
         pool_size=len(pool),
         probes=probes,
-        iterations=iterations,
+        iterations=ctx.nodes,
         oracle_calls=ctx.oracle_calls,
         epsilon=epsilon,
-        certificate_type=certificate,
+        certificate_type="exact-lp" if exact else "one-minus-inv-e",
         expected_counts=distribution.expected_counts(instance),
-        dual_point=best_point,
-        scaled_dual_max_violation=float(violations.max(initial=0.0)),
     )
     return distribution, report
-
-
-def _solve_pool_with_fallback(
-    instance: Instance,
-    oracle: ObjectiveOracle,
-    pool: list[tuple[int, ...]],
-    witness: np.ndarray,
-) -> tuple[SelectionDistribution, float]:
-    try:
-        return solve_pooled_lp(instance, oracle, pool)
-    except InfeasibleInstance:
-        # the cut pool can miss sets a feasible mixture needs; decompose the
-        # fractional feasibility witness into sets and retry with them added
-        extra = _decompose_fractional(witness, instance.budget)
-        if not extra:
-            raise
-        return solve_pooled_lp(instance, oracle, pool + extra)

@@ -3,13 +3,15 @@
 ``brute_force_lp`` enumerates every feasible set and solves the full
 distribution LP exactly over the best set of each group-count vector, which
 is tractable only at desk scale but serves as the reference optimum for
-every solver.  ``audit_distribution`` checks a distribution against the
+every solver; it shares no pricing code with the randomized solver.  ``audit_distribution`` checks a distribution against the
 fairness constraints by exact linear accounting, and ``sample`` draws
 selections reproducibly.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +23,7 @@ from .instance import (
 )
 from .lp import FairnessPolytope
 from .objectives import ObjectiveOracle
-from .randsolve import SelectionDistribution, _best_per_count_vector, solve_pooled_lp
+from .randsolve import SelectionDistribution, _row_counts, solve_pooled_lp
 
 #: a distribution is feasible when no constraint is violated by more than this
 AUDIT_TOL = 1e-6
@@ -47,6 +49,46 @@ class AuditReport:
             "value": self.value,
             "total_probability": self.total_probability,
         }
+
+
+def _best_rows(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Indices, ascending, of the best row of each distinct count row: the
+    largest value, then the earliest row."""
+    order = np.lexsort((np.arange(values.size), -values, *counts.T))
+    ordered = counts[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return np.sort(order[first])
+
+
+def _best_per_count_vector(
+    oracle: ObjectiveOracle, group_matrix: np.ndarray, budget: int
+) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
+    """The best set of each group-count vector among all sets of at most
+    ``budget`` items, as (sets, values, counts) in size-then-lexicographic
+    order.
+
+    A set enters the distribution LP only through f(S) and its counts, so
+    no other set of the same count vector can be needed; ties go to the
+    earliest set.  Each size is enumerated as one id array, scored with one
+    batched oracle call and reduced before the next size is built.
+    """
+    n = group_matrix.shape[0]
+    kept_ids, kept_values, kept_counts = [], [], []
+    for k in range(min(budget, n) + 1):
+        combos = itertools.combinations(range(n), k)
+        ids = np.fromiter(itertools.chain.from_iterable(combos), dtype=np.intp)
+        ids = ids.reshape(math.comb(n, k), k)
+        values = oracle._evaluate_rows(ids)
+        counts = _row_counts(group_matrix, ids)
+        keep = _best_rows(values, counts)
+        kept_ids.extend(tuple(row) for row in ids[keep].tolist())
+        kept_values.append(values[keep])
+        kept_counts.append(counts[keep])
+    values = np.concatenate(kept_values)
+    counts = np.concatenate(kept_counts)
+    keep = _best_rows(values, counts)
+    return [kept_ids[r] for r in keep], values[keep], counts[keep]
 
 
 def brute_force_lp(

@@ -1,8 +1,8 @@
 """Batched oracle calls and the loops built on them.
 
 Each property compares the batched code (marginal gains, row evaluation,
-the greedy loops and exact pricing over one set per group-count vector)
-with the per-item or per-set loops it replaced, written out here as
+the greedy loops, branch-and-bound pricing and the reference LP's one set
+per group-count vector) with per-item or per-set loops written out here as
 references.
 """
 
@@ -25,8 +25,10 @@ from fairsubmax import (
     group_counts,
     matroid_independent,
 )
+from fairsubmax.lp import FairnessPolytope
 from fairsubmax.objectives import ObjectiveOracle
-from fairsubmax.randsolve import _distorted_greedy, _SeparationContext
+from fairsubmax.randsolve import _branch_and_bound, _distorted_greedy, _SeparationContext
+from fairsubmax.verify import _best_per_count_vector
 
 from conftest import random_disjoint_instance, random_overlapping_instance
 
@@ -260,22 +262,73 @@ def small_instance_and_oracle(draw):
     return instance, oracle
 
 
-class TestExactPricing:
+def assert_priced_column(instance, oracle, group_prices, chosen, score, fval, counts):
+    """The returned set, f and counts agree when recomputed."""
+    assert list(chosen) == sorted(set(chosen)) and len(chosen) <= instance.budget
+    assert fval == oracle.evaluate(chosen)
+    assert np.array_equal(counts, group_counts(instance, chosen))
+    assert score == pytest.approx(fval + float(counts @ group_prices), rel=1e-12, abs=1e-12)
+
+
+prices_of_both_signs = st.one_of(st.just(0.0), st.floats(-4.0, 4.0))
+
+
+class TestBranchAndBound:
     @PROPERTY
     @given(small_instance_and_oracle(), st.data())
-    def test_matches_full_enumeration_bit_for_bit(self, case, data):
+    def test_maximum_matches_full_enumeration(self, case, data):
         instance, oracle = case
         ctx = _SeparationContext(instance, oracle, EllipsoidConfig(oracle_mode="exact"))
         m = instance.group_count
-        prices = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=m, max_size=m))
+        prices = data.draw(st.lists(prices_of_both_signs, min_size=m, max_size=m))
         for group_prices in (np.zeros(m), np.array(prices)):
             chosen, score, fval, counts = ctx.best_set(group_prices)
-            ref_set, ref_score, ref_fval, ref_counts = full_enumeration_best_set(
-                instance, oracle, group_prices
-            )
-            assert chosen == ref_set
-            assert score == ref_score and fval == ref_fval
-            assert np.array_equal(counts, ref_counts)
-        # one set per count vector, in size-then-lexicographic order
-        assert len({tuple(c) for c in ctx.set_counts}) == len(ctx.sets)
-        assert ctx.sets == sorted(ctx.sets, key=lambda s: (len(s), s))
+            _, ref_score, _, _ = full_enumeration_best_set(instance, oracle, group_prices)
+            assert abs(score - ref_score) <= 1e-12 * max(1.0, abs(ref_score))
+            assert_priced_column(instance, oracle, group_prices, chosen, score, fval, counts)
+        assert ctx.exhaustive
+
+    @PROPERTY
+    @given(small_instance_and_oracle(), st.data())
+    def test_floor_finds_a_better_set_or_proves_none_exists(self, case, data):
+        instance, oracle = case
+        m = instance.group_count
+        group_prices = np.array(data.draw(st.lists(prices_of_both_signs, min_size=m, max_size=m)))
+        _, ref_score, _, _ = full_enumeration_best_set(instance, oracle, group_prices)
+        item_prices = FairnessPolytope.from_instance(instance).matrix @ group_prices
+        budget = min(instance.budget, instance.item_count)
+        tol = 1e-12 * max(1.0, abs(ref_score))
+        found, _, capped = _branch_and_bound(oracle, item_prices, budget, ref_score + tol, None)
+        assert found is None and not capped
+        found, _, capped = _branch_and_bound(oracle, item_prices, budget, ref_score - 0.5, None)
+        assert found is not None and not capped
+        found_score = oracle.evaluate(found) + float(item_prices[list(found)].sum())
+        assert abs(found_score - ref_score) <= tol
+
+
+    def test_a_tie_with_the_best_set_opens_no_node(self):
+        # {0, 1} reaches 2 at the second node; {1, ...} and {2, ...} can only
+        # tie it, so they are pruned before their marginal calls
+        oracle = ModularObjective([1.0, 1.0, 1.0, 1.0])
+        assert _branch_and_bound(oracle, np.zeros(4), 2, 1.5, None) == ((0, 1), 2, False)
+        assert _branch_and_bound(oracle, np.zeros(4), 2, 2.0, None) == (None, 1, False)
+        assert _branch_and_bound(oracle, np.zeros(4), 2, 1.5, 1) == (None, 1, True)
+
+
+class TestBestPerCountVector:
+    @PROPERTY
+    @given(small_instance_and_oracle())
+    def test_keeps_the_first_best_set_of_each_count_vector_in_order(self, case):
+        instance, oracle = case
+        matrix = FairnessPolytope.from_instance(instance).matrix
+        sets, values, counts = _best_per_count_vector(oracle, matrix, instance.budget)
+        assert sets == sorted(sets, key=lambda s: (len(s), s))
+        assert len({tuple(c) for c in counts}) == len(sets)
+        best = {}
+        for s in enumerate_feasible_sets(instance.item_count, instance.budget):
+            key = tuple(group_counts(instance, s))
+            if key not in best or oracle.evaluate(s) > oracle.evaluate(best[key]):
+                best[key] = s
+        assert sets == sorted(best.values(), key=lambda s: (len(s), s))
+        assert values.tolist() == [oracle.evaluate(s) for s in sets]
+        assert np.array_equal(counts, [group_counts(instance, s) for s in sets])

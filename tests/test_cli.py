@@ -249,6 +249,22 @@ class TestCheck:
         doc = json.loads(out)
         assert doc["feasible"] is False
 
+    def test_check_reports_support_mass_above_one_infeasible(self, capsys, fixtures_dir, tmp_path):
+        # the windows hold, but the support mass is 1.2; the residual clamps to 0
+        over = tmp_path / "over.json"
+        over.write_text(json.dumps({"distribution": [
+            {"set": [0, 2], "prob": 1.0}, {"set": [], "prob": 0.2},
+        ]}))
+        code, out, _ = run(
+            capsys, "check", "--instance", str(fixtures_dir / "toy3.json"),
+            "--result", str(over), "--format", "json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["feasible"] is False
+        assert doc["expected_group_counts"] == [1.0, 1.0]
+        assert doc["max_violation"] == pytest.approx(0.2)
+
     def test_check_set_result(self, capsys, fixtures_dir, tmp_path):
         res = tmp_path / "set.json"
         res.write_text(json.dumps({"set": [0, 2]}))

@@ -1,4 +1,4 @@
-"""Separation oracle, ellipsoid runs, and the end-to-end randomized solver."""
+"""Priced best sets, column generation, and the end-to-end randomized solver."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import pytest
 
 from fairsubmax import (
     ConfigError,
-    DualPoint,
     EllipsoidConfig,
     EnumerationBudgetExceeded,
     GroupSpec,
@@ -20,17 +19,15 @@ from fairsubmax import (
     audit_distribution,
     best_augmented_set,
     brute_force_lp,
-    dual_scaling_violations,
-    ellipsoid_emptiness,
     enumerate_feasible_sets,
     group_counts,
     load_instance,
-    separate,
     solve_pooled_lp,
     solve_randomized,
 )
-from fairsubmax.lp import FairnessPolytope, feasible_point
-from fairsubmax.randsolve import _set_counts, _solve_pool_with_fallback
+from fairsubmax import randsolve
+from fairsubmax.lp import FairnessPolytope
+from fairsubmax.randsolve import _set_counts
 
 from conftest import (
     FIXTURES,
@@ -122,70 +119,6 @@ class TestEnumeration:
             EllipsoidConfig(enumeration_budget=budget)
 
 
-class TestSeparate:
-    def test_generous_point_is_inside(self):
-        point = DualPoint(np.zeros(2), np.zeros(2), 1.0)
-        outcome = separate(point, 2.0, RAND2, rand2_oracle())
-        assert outcome.verdict == "inside"
-
-    def test_negative_price_produces_box_cut(self):
-        point = DualPoint(np.array([-0.1, 0.0]), np.zeros(2), 1.0)
-        outcome = separate(point, 2.0, RAND2, rand2_oracle())
-        assert outcome.verdict == "cut"
-        assert outcome.witness is None
-        assert outcome.cut_row.normal[0] == -1.0
-        # the cut is genuinely violated at the point
-        vec = point.as_vector()
-        assert float(outcome.cut_row.normal @ vec) > outcome.cut_row.rhs
-
-    def test_set_generation_cut_with_witness(self):
-        point = DualPoint(np.zeros(2), np.zeros(2), 0.0)
-        outcome = separate(point, 1.0, RAND2, rand2_oracle())
-        assert outcome.verdict == "cut"
-        assert outcome.witness == frozenset({0})
-
-    def test_objective_row_cut(self):
-        point = DualPoint(np.zeros(2), np.array([2.0, 2.0]), 1.0)
-        outcome = separate(point, 0.5, RAND2, rand2_oracle())
-        assert outcome.verdict == "cut"
-        assert outcome.witness is None
-        assert outcome.cut_row.rhs == 0.5
-
-
-class TestEllipsoid:
-    def test_huge_level_is_nonempty(self):
-        oracle = rand2_oracle()
-        fv = oracle.evaluate([0, 1])
-        level = fv + (0.5 + 0.5) * (fv + 1)
-        run = ellipsoid_emptiness(level, RAND2, oracle)
-        assert not run.empty
-        assert run.point is not None
-        # returned center really is inside
-        assert separate(run.point, level, RAND2, oracle).verdict == "inside"
-
-    def test_below_optimum_is_empty_with_witnesses(self):
-        run = ellipsoid_emptiness(0.5, RAND2, rand2_oracle())
-        assert run.empty and not run.capped
-        assert frozenset({0}) in run.violated or frozenset({1}) in run.violated
-
-    def test_iterations_capped(self):
-        cfg = EllipsoidConfig(max_iters=3)
-        run = ellipsoid_emptiness(0.5, RAND2, rand2_oracle(), cfg)
-        assert run.empty and run.iterations <= 3
-        assert run.capped
-
-    def test_infeasible_primal_has_nonempty_dual_levels(self):
-        # with no feasible distribution the dual objective is unbounded below,
-        # so every level admits a dual point; the failure surfaces at the
-        # pooled primal solve instead
-        inst = make_instance(2, [({0}, 1, 1), ({1}, 1, 1)], 1)
-        oracle = ModularObjective([1, 1])
-        for level in (0.1, 1.0, 5.0):
-            assert not ellipsoid_emptiness(level, inst, oracle).empty
-        with pytest.raises(InfeasibleInstance):
-            solve_randomized(inst, oracle)
-
-
 class TestSolveRandomized:
     def test_motivating_instance(self):
         distribution, report = solve_randomized(RAND2, rand2_oracle())
@@ -253,22 +186,94 @@ class TestSolveRandomized:
         assert audit_distribution(distribution, inst, oracle).feasible
 
     @pytest.mark.parametrize("mode", ["exact", "heuristic"])
-    def test_capped_probes_claim_no_certificate(self, mode):
-        # three ellipsoid steps decide no level of cover22, so the pool
-        # misses the optimum by a fifth and no quality bound holds
+    def test_capped_search_claims_only_the_greedy_bound(self, mode):
+        # three branch-and-bound nodes cannot prove cover22's pricing, so the
+        # run falls back on the distorted greedy's (1 - 1/e) guarantee
         instance, oracle = load_instance(FIXTURES / "cover22.json")
         cfg = EllipsoidConfig(oracle_mode=mode, max_iters=3)
         _, report = solve_randomized(instance, oracle, cfg)
         _, optimum = brute_force_lp(instance, oracle)
-        assert report.value < 0.8 * optimum
-        assert report.certificate_type == "none"
-        assert report.to_json_obj()["certificate"] == {"type": "none", "epsilon": report.epsilon}
+        assert report.certificate_type == "one-minus-inv-e"
+        assert report.value >= (1 - 1 / math.e) * optimum - report.epsilon
+
+    def test_node_cap_defaults_and_override(self):
+        instance, oracle = load_instance(FIXTURES / "cover22.json")
+
+        def cap(**kwargs):
+            return randsolve._SeparationContext(instance, oracle, EllipsoidConfig(**kwargs)).node_cap
+
+        assert cap(oracle_mode="exact") is None
+        assert cap(oracle_mode="heuristic") == randsolve.HEURISTIC_NODE_CAP
+        assert cap(oracle_mode="exact", max_iters=7) == cap(oracle_mode="heuristic", max_iters=7) == 7
+
+    def test_every_search_stops_at_the_node_cap(self):
+        instance, oracle = load_instance(FIXTURES / "cover22.json")
+        _, report = solve_randomized(instance, oracle, EllipsoidConfig(max_iters=3))
+        assert 0 < report.iterations <= 3 * report.oracle_calls
+
+    def test_epsilon_is_the_reported_reduced_cost_tolerance(self):
+        _, default = solve_randomized(TOY3, toy3_oracle())
+        assert default.epsilon == 1e-9 * toy3_oracle().evaluate(range(3))
+        _, loose = solve_randomized(TOY3, toy3_oracle(), EllipsoidConfig(epsilon_l=0.5))
+        assert loose.epsilon == 0.5
+        assert loose.value >= default.value - 2 * loose.epsilon
+
+    def test_stats_count_master_solves_nodes_pricing_calls_and_columns(self, monkeypatch):
+        counted = {"solves": 0, "nodes": 0, "pricing": 0}
+        pool_lp, branch_and_bound = randsolve._pool_lp, randsolve._branch_and_bound
+        best_set = randsolve._SeparationContext.best_set
+
+        def counting_pool_lp(polytope, values, counts):
+            counted["solves"] += 1
+            counted["columns"] = len(values)
+            return pool_lp(polytope, values, counts)
+
+        def counting_branch_and_bound(*args):
+            result = branch_and_bound(*args)
+            counted["nodes"] += result[1]
+            return result
+
+        def counting_best_set(self, *args):
+            counted["pricing"] += 1
+            return best_set(self, *args)
+
+        monkeypatch.setattr(randsolve, "_pool_lp", counting_pool_lp)
+        monkeypatch.setattr(randsolve, "_branch_and_bound", counting_branch_and_bound)
+        monkeypatch.setattr(randsolve._SeparationContext, "best_set", counting_best_set)
+        instance, oracle = load_instance(FIXTURES / "cover22.json")
+        distribution, report = solve_randomized(instance, oracle)
+        stats = report.to_json_obj()["stats"]
+        assert all(type(v) is int for v in stats.values())
+        assert stats["probes"] == counted["solves"] > 1
+        assert stats["ellipsoid_iterations"] == counted["nodes"] > 0
+        # one unpriced greedy for the seed pool, then one pricing per master
+        assert stats["oracle_calls"] == counted["pricing"] == counted["solves"] + 1
+        assert stats["pool_size"] == counted["columns"] >= len(distribution.support)
+
+    def test_l_star_is_the_final_master_value(self, monkeypatch):
+        values = []
+        pool_lp = randsolve._pool_lp
+
+        def recording_pool_lp(*args):
+            solution = pool_lp(*args)
+            values.append(float(solution.value))
+            return solution
+
+        monkeypatch.setattr(randsolve, "_pool_lp", recording_pool_lp)
+        instance, oracle = load_instance(FIXTURES / "cover22.json")
+        _, report = solve_randomized(instance, oracle)
+        assert report.l_star == values[-1]
+        assert report.to_json_obj()["L_star"] == values[-1]
+        # an added column never lowers the master's value
+        assert all(b >= a - 1e-12 * max(1.0, abs(a)) for a, b in zip(values, values[1:]))
+        assert report.value == pytest.approx(report.l_star, abs=1e-9 * max(1.0, report.l_star))
 
     def test_deterministic_given_same_inputs(self):
         d1, r1 = solve_randomized(TOY3, toy3_oracle())
         d2, r2 = solve_randomized(TOY3, toy3_oracle())
         assert d1.support == d2.support
         assert r1.value == r2.value and r1.iterations == r2.iterations
+        assert r1.to_json_obj() == r2.to_json_obj()
 
 
 class TestDistribution:
@@ -281,6 +286,12 @@ class TestDistribution:
         d = SelectionDistribution.point({1, 2})
         assert d.support == ((frozenset({1, 2}), 1.0),)
         assert d.residual == 0.0
+
+    def test_residual_is_clamped_at_zero(self):
+        over = math.nextafter(1.0, 2.0)
+        d = SelectionDistribution.from_support([({0}, over)])
+        assert d.residual == 0.0
+        assert d.total_probability == over
 
     def test_json_shape(self):
         d = SelectionDistribution.from_support([({1, 0}, 0.5)])
@@ -299,15 +310,24 @@ class TestPoolProperties:
         _, opt = brute_force_lp(TOY3, oracle)
         assert grown_value == pytest.approx(opt, abs=1e-9)
 
-    def test_infeasible_pool_falls_back_to_the_feasible_point(self):
-        # the empty set alone gives neither group its 0.5; the feasible
-        # point (0.5, 0.5) decomposes into {0} and {1} at one half each
+    def test_seeded_first_master_is_feasible(self, monkeypatch):
+        # the empty set alone gives neither group its 0.5; the seed pool adds
+        # the decomposed feasible point, {0} and {1}, before the first solve
         with pytest.raises(InfeasibleInstance):
             solve_pooled_lp(RAND2, rand2_oracle(), [()])
-        witness = feasible_point(FairnessPolytope.from_instance(RAND2))
-        distribution, value = _solve_pool_with_fallback(RAND2, rand2_oracle(), [()], witness)
+        statuses = []
+
+        def recording_pool_lp(*args):
+            solution = pool_lp(*args)
+            statuses.append(solution.status)
+            return solution
+
+        pool_lp = randsolve._pool_lp
+        monkeypatch.setattr(randsolve, "_pool_lp", recording_pool_lp)
+        distribution, report = solve_randomized(RAND2, rand2_oracle())
+        assert statuses[0] == "optimal" and len(statuses) == report.probes
         assert audit_distribution(distribution, RAND2, rand2_oracle()).feasible
-        assert value == pytest.approx(1.0, abs=1e-12)
+        assert report.value == pytest.approx(1.0, abs=1e-12)
 
     def test_pooled_value_never_exceeds_brute_force(self):
         rng = np.random.default_rng(32)
@@ -317,19 +337,3 @@ class TestPoolProperties:
             distribution, report = solve_randomized(inst, oracle)
             _, opt = brute_force_lp(inst, oracle)
             assert report.value <= opt + 1e-9
-
-    def test_dual_scaling_certificate_rows(self):
-        rng = np.random.default_rng(33)
-        cfg = EllipsoidConfig(oracle_mode="heuristic")
-        for _ in range(15):
-            inst = random_overlapping_instance(rng)
-            oracle = random_coverage(rng, inst.item_count)
-            _, report = solve_randomized(inst, oracle, cfg)
-            assert report.scaled_dual_max_violation <= 1e-6
-
-    def test_scaled_point_respects_explicit_rows(self):
-        point = DualPoint(np.array([0.2, 0.0]), np.array([0.0, 0.1]), 2.0)
-        sets = [(), (0,), (0, 1)]
-        violations = dual_scaling_violations(point, sets, RAND2, rand2_oracle())
-        assert violations.shape == (3,)
-        assert np.all(violations >= 0.0)
