@@ -11,8 +11,6 @@ strictly.
 from .detsolve import (
     ContinuousGreedyConfig,
     DeterministicSolution,
-    PipageSwap,
-    RoundingTrace,
     continuous_greedy,
     fast_greedy,
     matroid_independent,
@@ -34,8 +32,6 @@ from .instance import (
     DEFAULT_ENUMERATION_BUDGET,
     GroupSpec,
     Instance,
-    StructureReport,
-    count_feasible_sets,
     enumerate_feasible_sets,
     group_counts,
     load_instance,
@@ -55,7 +51,6 @@ from .lp import (
 from .objectives import (
     CoverageObjective,
     EstimationConfig,
-    ExtensionEstimate,
     FacilityLocationObjective,
     ModularObjective,
     ObjectiveOracle,
@@ -65,8 +60,6 @@ from .randsolve import (
     EllipsoidConfig,
     RandomizedReport,
     SelectionDistribution,
-    best_augmented_set,
-    solve_pooled_lp,
     solve_randomized,
 )
 from .verify import AuditReport, audit_distribution, brute_force_lp, sample
@@ -82,7 +75,6 @@ __all__ = [
     "EmptyPolytope",
     "EnumerationBudgetExceeded",
     "EstimationConfig",
-    "ExtensionEstimate",
     "FacilityLocationObjective",
     "FairSubmaxError",
     "FairnessPolytope",
@@ -98,16 +90,11 @@ __all__ = [
     "ModularObjective",
     "ObjectiveOracle",
     "ParseError",
-    "PipageSwap",
     "RandomizedReport",
-    "RoundingTrace",
     "SelectionDistribution",
-    "StructureReport",
     "audit_distribution",
-    "best_augmented_set",
     "brute_force_lp",
     "continuous_greedy",
-    "count_feasible_sets",
     "enumerate_feasible_sets",
     "fast_greedy",
     "group_counts",
@@ -121,7 +108,6 @@ __all__ = [
     "sample",
     "save_instance",
     "solve_deterministic",
-    "solve_pooled_lp",
     "solve_randomized",
     "solve_simplex",
     "validate",

@@ -25,25 +25,16 @@ from .errors import (
     EmptyPolytope,
     EnumerationBudgetExceeded,
     FairSubmaxError,
-    GroupStructureError,
     InfeasibleInstance,
     InfeasibleRelaxation,
-    InvalidInstance,
     ParseError,
 )
-from .instance import Instance, group_counts, load_instance
+from .instance import DEFAULT_ENUMERATION_BUDGET, Instance, group_counts, load_instance
 from .objectives import ObjectiveOracle
 from .randsolve import EllipsoidConfig, SelectionDistribution, solve_randomized
 from .verify import audit_distribution, brute_force_lp
 
 _INFEASIBLE_ERRORS = (InfeasibleInstance, EmptyPolytope, InfeasibleRelaxation)
-_INPUT_ERRORS = (
-    ParseError,
-    InvalidInstance,
-    GroupStructureError,
-    EnumerationBudgetExceeded,
-    OSError,
-)
 
 
 def main(argv=None) -> int:
@@ -57,10 +48,7 @@ def main(argv=None) -> int:
     except _INFEASIBLE_ERRORS as exc:
         print(f"error: instance is infeasible: {exc}", file=sys.stderr)
         return 1
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FairSubmaxError as exc:
+    except (FairSubmaxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -70,7 +58,7 @@ _FLAGS = {
     "--delta": dict(type=int, default=None, help="continuous greedy iteration count"),
     "--epsilon-l": dict(type=float, default=None, help="reduced-cost tolerance of column generation"),
     "--oracle-mode": dict(choices=("exact", "heuristic", "auto"), default="auto"),
-    "--enum-budget": dict(type=int, default=1_000_000, help="enumeration budget, at least 1"),
+    "--enum-budget": dict(type=int, default=DEFAULT_ENUMERATION_BUDGET, help="enumeration budget, at least 1"),
     "--trace": dict(default=None, help="write a line-delimited JSON run trace"),
     "--result": dict(required=True, help="result file to audit"),
 }

@@ -81,6 +81,8 @@ class Instance:
                     raise InvalidInstance(
                         f"group {g.name!r} references item {i} outside 0..{self.item_count - 1}"
                     )
+            if not (math.isfinite(g.alpha) and math.isfinite(g.beta)):
+                raise InvalidInstance(f"group {g.name!r} has a non-finite bound")
             if g.alpha < 0 or g.beta < 0:
                 raise InvalidInstance(f"group {g.name!r} has a negative bound")
             if g.alpha > g.beta:
@@ -265,4 +267,10 @@ def _resolve_member(entry, n: int, item_names: Sequence[str] | None, where: str)
 def _number(value, where: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ParseError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ParseError(f"{where}: expected a finite number, got {value!r}")
+    return number

@@ -51,14 +51,11 @@ class LinearConstraint:
 class LinearProgram:
     """Maximize ``objective . x`` subject to rows and ``x >= 0``.
 
-    ``upper_bounds`` optionally caps individual variables; the bounds are
-    handled as extra rows internally and do not appear in the reported
-    duals.
+    Variable caps such as ``x_j <= 1`` are ordinary rows.
     """
 
     objective: np.ndarray
     constraints: tuple[LinearConstraint, ...]
-    upper_bounds: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "objective", np.asarray(self.objective, dtype=float))
@@ -67,11 +64,6 @@ class LinearProgram:
         for k, row in enumerate(self.constraints):
             if row.coeffs.size != n:
                 raise ValueError(f"constraint {k} has {row.coeffs.size} coefficients, expected {n}")
-        if self.upper_bounds is not None:
-            ub = np.asarray(self.upper_bounds, dtype=float)
-            if ub.size != n:
-                raise ValueError("one upper bound per variable required")
-            object.__setattr__(self, "upper_bounds", ub)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,20 +80,12 @@ def solve_simplex(lp: LinearProgram) -> LpSolution:
     """Solve a small dense LP exactly (two-phase tableau, Bland's rule).
 
     Returns primal values, objective value and one dual multiplier per
-    original constraint row.  Duals follow the max-LP convention: ``>= 0``
+    constraint row.  Duals follow the max-LP convention: ``>= 0``
     for ``<=`` rows, ``<= 0`` for ``>=`` rows, free for equalities.
     """
     c = np.asarray(lp.objective, dtype=float)
     nvar = c.size
-    rows = list(lp.constraints)
-    n_original = len(rows)
-    if lp.upper_bounds is not None:
-        for j, bound in enumerate(lp.upper_bounds):
-            if math.isfinite(bound):
-                unit = np.zeros(nvar)
-                unit[j] = 1.0
-                rows.append(LinearConstraint(unit, "<=", bound))
-
+    rows = lp.constraints
     m = len(rows)
     A = np.array([row.coeffs for row in rows], dtype=float).reshape(m, nvar)
     rhs = np.array([row.rhs for row in rows], dtype=float)
@@ -175,7 +159,7 @@ def solve_simplex(lp: LinearProgram) -> LpSolution:
     except np.linalg.LinAlgError:
         duals = np.linalg.lstsq(basis_matrix.T, objective[basis], rcond=None)[0]
     duals[flipped] = -duals[flipped]
-    return LpSolution("optimal", x, value, duals[:n_original])
+    return LpSolution("optimal", x, value, duals)
 
 
 def _pivot_loop(T: np.ndarray, basis: np.ndarray, objective: np.ndarray, allowed: np.ndarray) -> str:
@@ -375,11 +359,16 @@ def window_rows(counts, lowers, uppers) -> list[LinearConstraint]:
 
 
 def polytope_linear_program(polytope: FairnessPolytope, weights) -> LinearProgram:
-    """Express linear maximization over the polytope as a LinearProgram."""
+    """Express linear maximization over the polytope as a LinearProgram.
+
+    The rows are the group windows, the budget row and one ``y_i <= 1`` row
+    per item, in that order.
+    """
     n = polytope.item_count
     rows = window_rows(polytope.matrix, polytope.lowers, polytope.uppers)
     rows.append(LinearConstraint(np.ones(n), "<=", float(polytope.budget)))
-    return LinearProgram(weights, tuple(rows), upper_bounds=np.ones(n))
+    rows.extend(LinearConstraint(unit, "<=", 1.0) for unit in np.eye(n))
+    return LinearProgram(weights, tuple(rows))
 
 
 def feasible_point(polytope: FairnessPolytope) -> np.ndarray | None:

@@ -309,8 +309,8 @@ class CoverageObjective(ObjectiveOracle):
         incidence = np.asarray(incidence, dtype=bool)
         if incidence.shape != (weights.size, item_count):
             raise InvalidInstance("coverage incidence must be (elements, items)")
-        if np.any(weights < 0):
-            raise InvalidInstance("coverage element weights must be non-negative")
+        if not np.all(np.isfinite(weights)) or np.any(weights < 0):
+            raise InvalidInstance("coverage element weights must be finite and non-negative")
         self._weights = weights
         self._incidence = incidence
         # the same 0/1 entries as floats, so products need no per-call cast
@@ -374,8 +374,8 @@ class ModularObjective(ObjectiveOracle):
     def __init__(self, weights: Sequence[float]):
         weights = np.asarray(weights, dtype=float)
         super().__init__(weights.size)
-        if np.any(weights < 0):
-            raise InvalidInstance("modular weights must be non-negative")
+        if not np.all(np.isfinite(weights)) or np.any(weights < 0):
+            raise InvalidInstance("modular weights must be finite and non-negative")
         self._weights = weights
 
     @property
@@ -426,8 +426,8 @@ class FacilityLocationObjective(ObjectiveOracle):
         if similarity.ndim != 2 or similarity.shape[0] < 1:
             raise InvalidInstance("similarity must be a non-empty 2d matrix")
         super().__init__(similarity.shape[1])
-        if np.any(similarity < 0):
-            raise InvalidInstance("similarity entries must be non-negative")
+        if not np.all(np.isfinite(similarity)) or np.any(similarity < 0):
+            raise InvalidInstance("similarity entries must be finite and non-negative")
         self._similarity = similarity
         # items by rows, so each item's gain sums one contiguous row exactly
         # as _marginal_ids sums its column copy

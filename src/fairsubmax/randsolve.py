@@ -49,9 +49,6 @@ HEURISTIC_NODE_CAP = 2000
 
 _MODES = ("exact", "heuristic", "auto")
 
-#: sets per chunk when gathering the group counts of many sets
-_COUNT_CHUNK = 8192
-
 
 @dataclass(frozen=True)
 class EllipsoidConfig:
@@ -74,8 +71,8 @@ class EllipsoidConfig:
     enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET
 
     def __post_init__(self) -> None:
-        if self.epsilon_l is not None and self.epsilon_l <= 0:
-            raise ConfigError("epsilon_l must be positive")
+        if self.epsilon_l is not None and not 0 < self.epsilon_l < math.inf:
+            raise ConfigError("epsilon_l must be finite and positive")
         if self.max_iters is not None and self.max_iters < 1:
             raise ConfigError("max_iters must be at least 1")
         if self.oracle_mode not in _MODES:
@@ -156,7 +153,6 @@ class RandomizedReport:
     oracle_calls: int
     epsilon: float
     certificate_type: str  # exact-lp | one-minus-inv-e
-    expected_counts: np.ndarray
 
     def to_json_obj(self) -> dict:
         return {
@@ -323,53 +319,7 @@ def _branch_and_bound(
     return best, nodes, False
 
 
-def best_augmented_set(
-    oracle: ObjectiveOracle,
-    instance: Instance,
-    lower_prices,
-    upper_prices,
-    mode: str = "exact",
-    enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> tuple[frozenset[int], float]:
-    """Maximize ``f(S) + sum_t |S intersect V_t| (lower_t - upper_t)``, |S| <= b.
-
-    Items in several groups accumulate every containing group's price.
-    The distorted greedy's set seeds a branch and bound, which is exact in
-    exact mode and capped at ``HEURISTIC_NODE_CAP`` nodes in heuristic mode;
-    the returned score is always the exact score of the returned set.
-    """
-    lower_prices = np.asarray(lower_prices, dtype=float)
-    upper_prices = np.asarray(upper_prices, dtype=float)
-    if lower_prices.size != instance.group_count or upper_prices.size != instance.group_count:
-        raise ValueError("one price pair per group required")
-    cfg = EllipsoidConfig(oracle_mode=mode, enumeration_budget=enumeration_budget)
-    ctx = _SeparationContext(instance, oracle, cfg)
-    chosen, score, _, _ = ctx.best_set(lower_prices - upper_prices)
-    return frozenset(chosen), score
-
-
 # -- master LP ---------------------------------------------------------------
-
-
-def _set_counts(
-    group_matrix: np.ndarray, sets: Sequence[tuple[int, ...]], width: int
-) -> np.ndarray:
-    """Group counts of every set of at most ``width`` items, gathered from a
-    zero-padded group matrix."""
-    n, m = group_matrix.shape
-    padded = np.vstack([group_matrix, np.zeros((1, m))])
-    ids = np.array([s + (n,) * (width - len(s)) for s in sets], dtype=np.intp)
-    return _row_counts(padded, ids.reshape(len(sets), width))
-
-
-def _row_counts(group_matrix: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Group counts of each row of a (sets, k) id array, gathered in chunks;
-    sums of 0/1 entries are exact in any order."""
-    counts = np.empty((ids.shape[0], group_matrix.shape[1]))
-    for start in range(0, ids.shape[0], _COUNT_CHUNK):
-        chunk = ids[start : start + _COUNT_CHUNK]
-        counts[start : start + chunk.shape[0]] = group_matrix[chunk].sum(axis=1)
-    return counts
 
 
 def _pool_lp(polytope: FairnessPolytope, values: np.ndarray, counts: np.ndarray) -> LpSolution:
@@ -387,23 +337,6 @@ def _pool_distribution(
         for k, p in enumerate(solution.x)
         if p > 1e-12 and len(ordered[k]) > 0
     )
-
-
-def solve_pooled_lp(
-    instance: Instance,
-    oracle: ObjectiveOracle,
-    sets: Sequence[tuple[int, ...]],
-) -> tuple[SelectionDistribution, float]:
-    """Solve the distribution LP restricted to a pool of candidate sets."""
-    ordered = sorted({tuple(sorted(s)) for s in sets}, key=lambda s: (len(s), s))
-    values = np.array([oracle.evaluate(s) for s in ordered])
-    polytope = FairnessPolytope.from_instance(instance)
-    width = len(ordered[-1]) if ordered else 0
-    solution = _pool_lp(polytope, values, _set_counts(polytope.matrix, ordered, width))
-    if solution.status != "optimal":
-        raise InfeasibleInstance("no distribution over the candidate sets is feasible")
-    distribution = _pool_distribution(ordered, solution)
-    return distribution, distribution.expected_value(oracle)
 
 
 def _decompose_fractional(y: np.ndarray, budget: int) -> list[tuple[int, ...]]:
@@ -514,6 +447,5 @@ def solve_randomized(
         oracle_calls=ctx.oracle_calls,
         epsilon=epsilon,
         certificate_type="exact-lp" if exact else "one-minus-inv-e",
-        expected_counts=distribution.expected_counts(instance),
     )
     return distribution, report

@@ -1,11 +1,13 @@
 """Ground-truth oracles and solution auditing.
 
-``brute_force_lp`` enumerates every feasible set and solves the full
-distribution LP exactly over the best set of each group-count vector, which
-is tractable only at desk scale but serves as the reference optimum for
-every solver; it shares no pricing code with the randomized solver.  ``audit_distribution`` checks a distribution against the
-fairness constraints by exact linear accounting, and ``sample`` draws
-selections reproducibly.
+``brute_force_lp`` enumerates every feasible set, keeps the best set of each
+group-count vector and hands those columns to the randomized solver's master
+LP, so it solves the full distribution LP exactly.  That is tractable only
+at desk scale, but it serves as the reference optimum for every solver, and
+it shares no pricing code with the randomized solver.
+``audit_distribution`` checks a distribution against the fairness
+constraints by exact linear accounting, and ``sample`` draws selections
+reproducibly.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InfeasibleInstance
 from .instance import (
     DEFAULT_ENUMERATION_BUDGET,
     Instance,
@@ -23,10 +26,13 @@ from .instance import (
 )
 from .lp import FairnessPolytope
 from .objectives import ObjectiveOracle
-from .randsolve import SelectionDistribution, _row_counts, solve_pooled_lp
+from .randsolve import SelectionDistribution, _pool_distribution, _pool_lp
 
 #: a distribution is feasible when no constraint is violated by more than this
 AUDIT_TOL = 1e-6
+
+#: sets per chunk when gathering the group counts of many sets
+_COUNT_CHUNK = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,6 +55,16 @@ class AuditReport:
             "value": self.value,
             "total_probability": self.total_probability,
         }
+
+
+def _row_counts(group_matrix: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Group counts of each row of a (sets, k) id array, gathered in chunks;
+    sums of 0/1 entries are exact in any order."""
+    counts = np.empty((ids.shape[0], group_matrix.shape[1]))
+    for start in range(0, ids.shape[0], _COUNT_CHUNK):
+        chunk = ids[start : start + _COUNT_CHUNK]
+        counts[start : start + chunk.shape[0]] = group_matrix[chunk].sum(axis=1)
+    return counts
 
 
 def _best_rows(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -105,9 +121,13 @@ def brute_force_lp(
     reproducible.
     """
     check_enumeration_budget(instance.item_count, instance.budget, enumeration_budget)
-    matrix = FairnessPolytope.from_instance(instance).matrix
-    sets, _, _ = _best_per_count_vector(oracle, matrix, instance.budget)
-    return solve_pooled_lp(instance, oracle, sets)
+    polytope = FairnessPolytope.from_instance(instance)
+    sets, values, counts = _best_per_count_vector(oracle, polytope.matrix, instance.budget)
+    solution = _pool_lp(polytope, values, counts)
+    if solution.status != "optimal":
+        raise InfeasibleInstance("no distribution over the candidate sets is feasible")
+    distribution = _pool_distribution(sets, solution)
+    return distribution, distribution.expected_value(oracle)
 
 
 def audit_distribution(

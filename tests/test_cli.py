@@ -83,12 +83,39 @@ class TestSolveCommands:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "command, flag", [("solve-det", "--delta"), ("solve-rand", "--epsilon-l")]
+        "command, flag, value",
+        [
+            ("solve-det", "--delta", "0"),
+            ("solve-rand", "--epsilon-l", "0"),
+            ("solve-rand", "--epsilon-l", "nan"),
+            ("solve-rand", "--epsilon-l", "inf"),
+            ("solve-rand", "--epsilon-l", "-inf"),
+        ],
     )
-    def test_bad_config_exits_2_with_one_error_line(self, capsys, fixtures_dir, command, flag):
+    def test_bad_config_exits_2_with_one_error_line(self, capsys, fixtures_dir, command, flag, value):
         code, out, err = run(
-            capsys, command, "--instance", str(fixtures_dir / "toy3.json"), flag, "0",
+            capsys, command, "--instance", str(fixtures_dir / "toy3.json"), f"{flag}={value}",
         )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["solve-rand", "solve-det", "solve-greedy", "oracle"])
+    @pytest.mark.parametrize(
+        "group, objective",
+        [({"alpha": math.nan}, {}), ({"beta": math.inf}, {}), ({}, {"weights": [math.nan, 2.0, 3.0]})],
+    )
+    def test_non_finite_input_exits_2_with_one_error_line(self, capsys, tmp_path, command, group, objective):
+        doc = {
+            "items": 3, "budget": 2,
+            "groups": [
+                {"name": "a", "members": [0, 1], "alpha": 1, "beta": 1, **group},
+                {"name": "b", "members": [2], "alpha": 1, "beta": 1},
+            ],
+            "objective": {"type": "modular", "weights": [1.0, 2.0, 3.0], **objective},
+        }
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, "--instance", str(bad))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 

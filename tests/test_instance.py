@@ -3,24 +3,27 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from fairsubmax import (
+    CoverageObjective,
     EnumerationBudgetExceeded,
+    FacilityLocationObjective,
     GroupSpec,
     Instance,
     InvalidInstance,
     ModularObjective,
     ParseError,
-    count_feasible_sets,
     enumerate_feasible_sets,
     group_counts,
     load_instance,
     save_instance,
     validate,
 )
+from fairsubmax.instance import count_feasible_sets
 
 
 def make_instance(n, groups, b):
@@ -73,6 +76,13 @@ class TestInvariants:
     def test_alpha_above_beta(self):
         with pytest.raises(InvalidInstance):
             make_instance(2, [({0, 1}, 2.0, 1.0)], 1)
+
+    @pytest.mark.parametrize(
+        "alpha, beta", [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 1.0)]
+    )
+    def test_non_finite_bound(self, alpha, beta):
+        with pytest.raises(InvalidInstance, match="non-finite"):
+            make_instance(2, [({0, 1}, alpha, beta)], 1)
 
     def test_alpha_above_group_size(self):
         with pytest.raises(InvalidInstance):
@@ -133,13 +143,15 @@ class TestFiles:
         with pytest.raises(InvalidInstance):
             load_instance(path)
 
-    def test_non_numeric_alpha(self, tmp_path):
+    @pytest.mark.parametrize(
+        "field, value",
+        [("alpha", "x"), ("alpha", math.nan), ("beta", math.inf), ("alpha", -math.inf), ("beta", 10**400)],
+    )
+    def test_non_numeric_alpha(self, tmp_path, field, value):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({
-            "items": 2, "budget": 1,
-            "groups": [{"name": "g", "members": [0], "alpha": "x", "beta": 1}],
-        }))
-        with pytest.raises(ParseError, match="alpha"):
+        group = {"name": "g", "members": [0], "alpha": 0, "beta": 1, field: value}
+        path.write_text(json.dumps({"items": 2, "budget": 1, "groups": [group]}))
+        with pytest.raises(ParseError, match=rf"^groups\[0\]\.{field}: "):
             load_instance(path)
 
     def test_invalid_json_reports_position(self, tmp_path):
@@ -194,9 +206,19 @@ class TestEnumeration:
         assert list(group_counts(inst, {0, 2, 3})) == [1, 2]
 
 
-def test_modular_weight_validation():
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ModularObjective([-1.0, 2.0]),
+        lambda: ModularObjective([math.nan, 2.0]),
+        lambda: ModularObjective([1.0, math.inf]),
+        lambda: CoverageObjective(2, [math.nan], np.array([[True, False]])),
+        lambda: FacilityLocationObjective(np.array([[1.0, math.inf]])),
+    ],
+)
+def test_modular_weight_validation(build):
     with pytest.raises(InvalidInstance):
-        ModularObjective([-1.0, 2.0])
+        build()
 
 
 def test_save_uses_shortest_round_trip_floats(tmp_path):

@@ -161,13 +161,6 @@ class TestSimplex:
         assert solution.status == "optimal"
         assert solution.value == pytest.approx(1.25, abs=1e-9)
 
-    def test_upper_bounds(self):
-        lp = LinearProgram(np.array([1.0, 1.0]), (), upper_bounds=np.array([0.5, 0.25]))
-        solution = solve_simplex(lp)
-        assert solution.status == "optimal"
-        assert solution.value == pytest.approx(0.75, abs=1e-12)
-        assert solution.duals.size == 0  # bound rows not reported
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             LinearProgram(np.array([1.0, 2.0]), (LinearConstraint(np.array([1.0]), "<=", 1.0),))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from fairsubmax import (
     ConfigError,
+    DEFAULT_ENUMERATION_BUDGET,
     EllipsoidConfig,
     EnumerationBudgetExceeded,
     GroupSpec,
@@ -17,17 +19,15 @@ from fairsubmax import (
     ModularObjective,
     SelectionDistribution,
     audit_distribution,
-    best_augmented_set,
     brute_force_lp,
-    enumerate_feasible_sets,
     group_counts,
     load_instance,
-    solve_pooled_lp,
     solve_randomized,
 )
 from fairsubmax import randsolve
 from fairsubmax.lp import FairnessPolytope
-from fairsubmax.randsolve import _set_counts
+from fairsubmax.randsolve import _SeparationContext
+from fairsubmax.verify import _row_counts
 
 from conftest import (
     FIXTURES,
@@ -54,27 +54,35 @@ def rand2_oracle():
     return __import__("fairsubmax").CoverageObjective(2, [1.0], np.array([[True, True]]))
 
 
-class TestBestAugmentedSet:
+def best_set(oracle, inst, lower, upper, mode="exact", enumeration_budget=DEFAULT_ENUMERATION_BUDGET):
+    """The pricing oracle's best set and its score at group prices ``lower - upper``."""
+    cfg = EllipsoidConfig(oracle_mode=mode, enumeration_budget=enumeration_budget)
+    ctx = _SeparationContext(inst, oracle, cfg)
+    chosen, score, _, _ = ctx.best_set(np.asarray(lower, dtype=float) - np.asarray(upper, dtype=float))
+    return frozenset(chosen), score
+
+
+class TestBestSet:
     def test_toy3_with_prices(self):
         inst = make_instance(3, [({0, 1}, 0, 2), ({2}, 0, 1)], 2)
-        chosen, score = best_augmented_set(toy3_oracle(), inst, [1.0, 0.0], [0.0, 0.5])
+        chosen, score = best_set(toy3_oracle(), inst, [1.0, 0.0], [0.0, 0.5])
         assert chosen == frozenset({0, 1})
         assert score == pytest.approx(5.0)
 
     def test_zero_prices_is_plain_cardinality_maximization(self):
         inst = make_instance(3, [({0, 1, 2}, 0, 3)], 2)
-        chosen, score = best_augmented_set(ModularObjective([3, 2, 5]), inst, [0.0], [0.0])
+        chosen, score = best_set(ModularObjective([3, 2, 5]), inst, [0.0], [0.0])
         assert chosen == frozenset({0, 2})
         assert score == pytest.approx(8.0)
 
     def test_heavily_penalized_prices_return_empty_set(self):
-        chosen, score = best_augmented_set(ModularObjective([1, 1]), RAND2, [0, 0], [5, 5])
+        chosen, score = best_set(ModularObjective([1, 1]), RAND2, [0, 0], [5, 5])
         assert chosen == frozenset()
         assert score == 0.0
 
     def test_overlapping_items_accumulate_prices(self):
         inst = make_instance(2, [({0, 1}, 0, 2), ({0}, 0, 1)], 1)
-        chosen, score = best_augmented_set(ModularObjective([1.0, 1.4]), inst, [0.3, 0.5], [0, 0])
+        chosen, score = best_set(ModularObjective([1.0, 1.4]), inst, [0.3, 0.5], [0, 0])
         # item 0 carries both group prices: 1.0 + 0.8 > 1.4 + 0.3
         assert chosen == frozenset({0})
         assert score == pytest.approx(1.8)
@@ -82,7 +90,7 @@ class TestBestAugmentedSet:
     def test_enumeration_budget(self):
         inst = make_instance(30, [(set(range(30)), 0, 30)], 10)
         with pytest.raises(EnumerationBudgetExceeded):
-            best_augmented_set(
+            best_set(
                 ModularObjective(np.ones(30)), inst, [0.0], [0.0],
                 mode="exact", enumeration_budget=100,
             )
@@ -94,23 +102,23 @@ class TestBestAugmentedSet:
             oracle = random_coverage(rng, inst.item_count)
             lower = rng.uniform(0, 2, size=inst.group_count)
             upper = rng.uniform(0, 2, size=inst.group_count)
-            _, exact_score = best_augmented_set(oracle, inst, lower, upper, mode="exact")
-            h_set, h_score = best_augmented_set(oracle, inst, lower, upper, mode="heuristic")
+            _, exact_score = best_set(oracle, inst, lower, upper, mode="exact")
+            h_set, h_score = best_set(oracle, inst, lower, upper, mode="heuristic")
             mu = 1 - 1 / math.e
             assert h_score <= exact_score + 1e-9
             assert h_score >= mu * exact_score - 1e-9 or len(h_set) <= inst.budget
 
 
 class TestEnumeration:
-    def test_set_counts_match_per_set_counts_across_chunks(self):
-        # 10701 sets of size <= 3 out of 40 span two count chunks
+    def test_row_counts_match_per_set_counts_across_chunks(self):
+        # C(40, 3) = 9880 rows span two 8192-row count chunks
         rng = np.random.default_rng(11)
         groups = [(set(rng.choice(40, size=15, replace=False).tolist()), 0, 3) for _ in range(3)]
         inst = make_instance(40, groups, 3)
-        sets = enumerate_feasible_sets(40, 3)
-        assert len(sets) == 10701
-        counts = _set_counts(FairnessPolytope.from_instance(inst).matrix, sets, 3)
-        expected = np.array([group_counts(inst, s) for s in sets], dtype=float)
+        ids = np.array(list(itertools.combinations(range(40), 3)), dtype=np.intp)
+        assert ids.shape == (9880, 3)
+        counts = _row_counts(FairnessPolytope.from_instance(inst).matrix, ids)
+        expected = np.array([group_counts(inst, s) for s in ids.tolist()], dtype=float)
         assert np.array_equal(counts, expected)
 
     @pytest.mark.parametrize("budget", [0, -5])
@@ -299,22 +307,29 @@ class TestDistribution:
         assert obj == {"distribution": [{"set": [0, 1], "prob": 0.5}], "residual": 0.5}
 
 
+def master_lp(inst, oracle, sets):
+    """The master LP over the columns ``sets``."""
+    values = np.array([oracle.evaluate(s) for s in sets])
+    counts = np.array([group_counts(inst, s) for s in sets], dtype=float)
+    return randsolve._pool_lp(FairnessPolytope.from_instance(inst), values, counts)
+
+
 class TestPoolProperties:
     def test_pool_growth_never_decreases_value(self):
         oracle = toy3_oracle()
         small_pool = [(), (1, 2)]
-        _, small_value = solve_pooled_lp(TOY3, oracle, small_pool)
-        _, grown_value = solve_pooled_lp(TOY3, oracle, small_pool + [(0, 2)])
-        assert grown_value >= small_value - 1e-12
-        assert small_value == pytest.approx(2.0, abs=1e-9)
+        small = master_lp(TOY3, oracle, small_pool)
+        grown = master_lp(TOY3, oracle, small_pool + [(0, 2)])
+        assert small.status == grown.status == "optimal"
+        assert grown.value >= small.value - 1e-12
+        assert small.value == pytest.approx(2.0, abs=1e-9)
         _, opt = brute_force_lp(TOY3, oracle)
-        assert grown_value == pytest.approx(opt, abs=1e-9)
+        assert grown.value == pytest.approx(opt, abs=1e-9)
 
     def test_seeded_first_master_is_feasible(self, monkeypatch):
         # the empty set alone gives neither group its 0.5; the seed pool adds
         # the decomposed feasible point, {0} and {1}, before the first solve
-        with pytest.raises(InfeasibleInstance):
-            solve_pooled_lp(RAND2, rand2_oracle(), [()])
+        assert master_lp(RAND2, rand2_oracle(), [()]).status == "infeasible"
         statuses = []
 
         def recording_pool_lp(*args):
