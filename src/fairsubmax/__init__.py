@@ -50,7 +50,6 @@ from .lp import (
 )
 from .objectives import (
     CoverageObjective,
-    EstimationConfig,
     FacilityLocationObjective,
     ModularObjective,
     ObjectiveOracle,
@@ -74,7 +73,6 @@ __all__ = [
     "EllipsoidConfig",
     "EmptyPolytope",
     "EnumerationBudgetExceeded",
-    "EstimationConfig",
     "FacilityLocationObjective",
     "FairSubmaxError",
     "FairnessPolytope",

@@ -26,12 +26,7 @@ import numpy as np
 from .errors import ConfigError, GroupStructureError, InfeasibleRelaxation
 from .instance import Instance, group_counts
 from .lp import FEAS_TOL, FairnessPolytope, allocate_linear, check_nonempty
-from .objectives import (
-    DEFAULT_ESTIMATION,
-    EstimationConfig,
-    ExtensionEstimate,
-    ObjectiveOracle,
-)
+from .objectives import ExtensionEstimate, ObjectiveOracle
 
 #: coordinates this close to 0 or 1 are snapped to the exact bound
 SNAP_TOL = 1e-9
@@ -39,7 +34,7 @@ SNAP_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ContinuousGreedyConfig:
-    """Iteration count and estimation settings.
+    """Iteration count of continuous greedy.
 
     ``delta`` defaults to ``9 n^2``.  Each round steps ``1 / delta``, so the
     final point is an average of polytope vertices and therefore stays
@@ -47,7 +42,6 @@ class ContinuousGreedyConfig:
     """
 
     delta: int | None = None
-    estimation: EstimationConfig = DEFAULT_ESTIMATION
 
     def __post_init__(self) -> None:
         if self.delta is not None and self.delta < 1:
@@ -127,14 +121,14 @@ def continuous_greedy(
 
     y = np.zeros(n)
     for round_index in range(delta):
-        z = allocate_linear(oracle.extension_gradient(y, cfg.estimation), polytope)
+        z = allocate_linear(oracle.extension_gradient(y), polytope)
         y = y + step * z
         if on_iteration is not None:
             on_iteration(
                 {
                     "iteration": round_index,
                     "support": [int(i) for i in np.flatnonzero(z > FEAS_TOL)],
-                    "extension_estimate": oracle.extension(np.clip(y, 0.0, 1.0), cfg.estimation).value,
+                    "extension_estimate": oracle.extension(np.clip(y, 0.0, 1.0)).value,
                 }
             )
     return np.clip(y, 0.0, 1.0)
@@ -172,20 +166,16 @@ def _endpoints(y: np.ndarray, i: int, j: int) -> tuple[np.ndarray, float, np.nda
     return _snap(first), theta_a, _snap(second), theta_b
 
 
-def pipage_round(
-    y,
-    instance: Instance,
-    oracle: ObjectiveOracle,
-    cfg: EstimationConfig | None = None,
-) -> DeterministicSolution:
+def pipage_round(y, instance: Instance, oracle: ObjectiveOracle) -> DeterministicSolution:
     """Round a polytope point to a set without losing extension value.
 
     Phase 1 pairs fractional coordinates inside each group, phase 2 pairs
     the survivors across groups, phase 3 lifts the last fractional
     coordinate to one.  Pairs are taken lowest-index-first and value ties
     resolve toward the first candidate, so the procedure is deterministic.
+    Each move evaluates the extension only at its new points: the value
+    before it is the previous move's ``after``, or ``fractional_value``.
     """
-    cfg = cfg or DEFAULT_ESTIMATION
     polytope = FairnessPolytope.from_instance(instance)
     if not polytope.disjoint:
         raise GroupStructureError("pipage rounding requires disjoint groups")
@@ -194,14 +184,17 @@ def pipage_round(
         raise ValueError("starting point is outside the fairness polytope")
     y = _snap(y)
 
-    fractional_value = oracle.extension(y, cfg)
+    fractional_value = oracle.extension(y)
     trace = RoundingTrace()
 
+    def value_now() -> ExtensionEstimate:
+        return trace.swaps[-1].after if trace.swaps else fractional_value
+
     def swap_pair(phase: int, i: int, j: int, current: np.ndarray) -> np.ndarray:
-        before = oracle.extension(current, cfg)
+        before = value_now()
         first, theta_a, second, theta_b = _endpoints(current, i, j)
-        value_first = oracle.extension(first, cfg)
-        value_second = oracle.extension(second, cfg)
+        value_first = oracle.extension(first)
+        value_second = oracle.extension(second)
         chose_first = value_first.value >= value_second.value
         chosen = first if chose_first else second
         after = value_first if chose_first else value_second
@@ -229,12 +222,10 @@ def pipage_round(
     frac = _fractional(y)
     if frac:
         i = frac[0]
-        before = oracle.extension(y, cfg)
         theta = 1.0 - y[i]
         y = y.copy()
         y[i] = 1.0
-        after = oracle.extension(y, cfg)
-        trace.swaps.append(PipageSwap(3, i, None, theta, True, before, after))
+        trace.swaps.append(PipageSwap(3, i, None, theta, True, value_now(), oracle.extension(y)))
 
     selected = frozenset(int(i) for i in np.flatnonzero(y == 1.0))
     return DeterministicSolution(
@@ -254,7 +245,7 @@ def solve_deterministic(
     """Continuous greedy followed by pipage rounding."""
     cfg = cfg or ContinuousGreedyConfig()
     fractional = continuous_greedy(instance, oracle, cfg, on_iteration)
-    return pipage_round(fractional, instance, oracle, cfg.estimation)
+    return pipage_round(fractional, instance, oracle)
 
 
 def matroid_independent(items: Iterable[int], instance: Instance) -> bool:

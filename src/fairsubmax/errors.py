@@ -6,7 +6,7 @@ class FairSubmaxError(Exception):
 
 
 class ConfigError(FairSubmaxError, ValueError):
-    """A solver or estimation setting is out of range."""
+    """A solver setting is out of range."""
 
 
 class InvalidInstance(FairSubmaxError):

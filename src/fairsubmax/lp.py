@@ -227,7 +227,8 @@ class FairnessPolytope:
             memberships=tuple(tuple(sorted(g.members)) for g in instance.groups),
             lowers=instance.alphas,
             uppers=instance.betas,
-            budget=instance.budget,
+            # sum(y) <= n always holds, so a larger budget is the same row
+            budget=min(instance.budget, instance.item_count),
         )
 
     @property

@@ -17,15 +17,15 @@ value of ``f`` over the random set that includes item ``i`` independently
 with probability ``y_i``.  All three families have exact closed forms, and
 ``extension_gradient`` returns every item's extension marginal
 ``F(e_i v y) - F(y)`` from one vector expression.  Oracles without a closed
-form fall back to full enumeration for small ground sets and to seeded
-Monte Carlo otherwise; ``EstimationConfig.force_monte_carlo`` sends every
-family down that path.  Monte Carlo marginals use common random numbers
-across the two estimated terms so that comparisons between candidate points
-are stable.
+form fall back to full enumeration up to 16 items and to Monte Carlo with
+10,000 draws from seed 0 above that; the family alone picks the route.
+Monte Carlo marginals use common random numbers across the two estimated
+terms so that comparisons between candidate points are stable.
 
 Oracles are immutable after construction and safe to share between
-concurrent callers; Monte Carlo estimation is fully determined by the seed
-in the estimation config.
+concurrent callers, and every estimate is a deterministic function of its
+point.  Each built-in family rejects data whose ``f(V)`` is not finite: for
+a monotone ``f`` it bounds every ``f(S)`` and ``F(y)``.
 """
 
 from __future__ import annotations
@@ -37,36 +37,17 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInstance, ParseError
+from .errors import InvalidInstance, ParseError
 
 #: accepted slack on extension coordinates before they are rejected
 POINT_TOL = 1e-9
 
-#: hard ceiling for subset enumeration, 2**22 values is ~32 MB
-_MAX_ENUMERATION_ITEMS = 22
+#: ground sets up to this size without a closed form are enumerated exactly
+_ENUMERATION_ITEMS = 16
 
-#: chunk size for batched Monte Carlo evaluation
-_BATCH_CHUNK = 8192
-
-
-@dataclass(frozen=True)
-class EstimationConfig:
-    """Controls how multilinear extensions are estimated.
-
-    ``samples`` and ``seed`` drive the Monte Carlo path and
-    ``exact_threshold`` is the largest ground set for which full enumeration
-    replaces sampling; both matter only for oracles without a closed form.
-    ``force_monte_carlo`` routes even closed-form objectives through the
-    sampling path (useful to exercise estimator behaviour).
-    """
-
-    samples: int = 10_000
-    seed: int = 0
-    exact_threshold: int = 16
-    force_monte_carlo: bool = False
-
-
-DEFAULT_ESTIMATION = EstimationConfig()
+#: draws and seed of the Monte Carlo estimate on larger ground sets
+_MONTE_CARLO_SAMPLES = 10_000
+_MONTE_CARLO_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -92,12 +73,12 @@ class ExtensionEstimate:
 class ObjectiveOracle(ABC):
     """Evaluates a non-negative monotone submodular set function.
 
-    Subclasses implement ``_evaluate_ids`` and may override the incremental
-    ``_marginal_ids`` and the batched ``_marginals_ids``, ``_evaluate_rows``
-    and ``_evaluate_selection_matrix`` hooks for speed, and
-    ``_closed_form_extension`` / ``_closed_form_gradient`` when the
-    extension has a closed form.  All public entry points validate
-    item ids against the ground set ``0 .. item_count - 1``.
+    Subclasses implement ``_evaluate_ids`` and may override the batched
+    ``_marginals_ids``, ``_evaluate_rows`` and ``_evaluate_selection_matrix``
+    hooks for speed, and ``_closed_form_extension`` /
+    ``_closed_form_gradient`` when the extension has a closed form.  All
+    public entry points validate item ids against the ground set
+    ``0 .. item_count - 1``.
     """
 
     kind: str = "abstract"
@@ -124,7 +105,7 @@ class ObjectiveOracle(ABC):
         item = self._check_item(item)
         if item in ids:
             raise ValueError(f"item {item} is already in the base set")
-        return self._marginal_ids(item, ids)
+        return float(self._marginals_ids(ids)[item])
 
     def marginals(self, items: Iterable[int]) -> np.ndarray:
         """Return every item's gain f(items + i) - f(items), with 0 at members of ``items``."""
@@ -134,17 +115,14 @@ class ObjectiveOracle(ABC):
     def _evaluate_ids(self, ids: np.ndarray) -> float:
         """Evaluate f on a validated, sorted id array."""
 
-    def _marginal_ids(self, item: int, ids: np.ndarray) -> float:
-        extended = np.sort(np.append(ids, item))
-        return self._evaluate_ids(extended) - self._evaluate_ids(ids)
-
     def _marginals_ids(self, ids: np.ndarray) -> np.ndarray:
         """All n gains over a validated, sorted id array; 0 at members."""
         gains = np.zeros(self._n)
         outside = np.ones(self._n, dtype=bool)
         outside[ids] = False
+        base = self._evaluate_ids(ids)
         for item in np.flatnonzero(outside):
-            gains[item] = self._marginal_ids(int(item), ids)
+            gains[item] = self._evaluate_ids(np.sort(np.append(ids, item))) - base
         return gains
 
     def _evaluate_rows(self, ids: np.ndarray) -> np.ndarray:
@@ -164,56 +142,60 @@ class ObjectiveOracle(ABC):
             count=selections.shape[0],
         )
 
+    def _require_finite_total(self) -> None:
+        """Reject data whose f(V), the bound on every f(S) and F(y), overflows."""
+        with np.errstate(over="ignore"):
+            total = self._evaluate_ids(np.arange(self._n))
+        if not math.isfinite(total):
+            raise InvalidInstance(f"{self.kind} objective: f of the whole ground set is not finite")
+
     # -- multilinear extension --------------------------------------------
 
-    def extension(self, y, cfg: EstimationConfig | None = None) -> ExtensionEstimate:
+    def extension(self, y) -> ExtensionEstimate:
         """Estimate F(y), exactly whenever a closed form or enumeration applies."""
-        cfg = cfg or DEFAULT_ESTIMATION
-        y = self._check_point(y)
-        if not cfg.force_monte_carlo:
-            closed = self._closed_form_extension(y)
-            if closed is not None:
-                return ExtensionEstimate(float(closed), True, 0.0)
-            if self._n <= min(cfg.exact_threshold, _MAX_ENUMERATION_ITEMS):
-                return ExtensionEstimate(self._enumeration_extension(y), True, 0.0)
-        return self._monte_carlo_extension(y, cfg)
+        return self._estimate(self._check_point(y))
 
-    def extension_marginal(
-        self, item: int, y, cfg: EstimationConfig | None = None
-    ) -> ExtensionEstimate:
+    def extension_marginal(self, item: int, y) -> ExtensionEstimate:
         """Estimate F(e_item v y) - F(y), the extension marginal of one item."""
-        cfg = cfg or DEFAULT_ESTIMATION
-        return self._extension_marginal_point(self._check_item(item), self._check_point(y), cfg)
+        return self._estimate(self._check_point(y), self._check_item(item))
 
-    def extension_gradient(self, y, cfg: EstimationConfig | None = None) -> np.ndarray:
+    def extension_gradient(self, y) -> np.ndarray:
         """Return every item's extension marginal ``F(e_i v y) - F(y)`` at once.
 
         ``y`` is validated once.  Families with a closed form answer in one
-        vector expression; otherwise, and under ``force_monte_carlo``, entry
-        ``i`` equals ``extension_marginal(i, y, cfg).value`` bit for bit.
+        vector expression; otherwise entry ``i`` equals
+        ``extension_marginal(i, y).value`` bit for bit.
         """
-        cfg = cfg or DEFAULT_ESTIMATION
         y = self._check_point(y)
-        if not cfg.force_monte_carlo:
-            gradient = self._closed_form_gradient(y)
-            if gradient is not None:
-                return gradient
-        return np.array([self._extension_marginal_point(i, y, cfg).value for i in range(self._n)])
+        gradient = self._closed_form_gradient(y)
+        if gradient is None:
+            gradient = np.array([self._estimate(y, i).value for i in range(self._n)])
+        return gradient
 
-    def _extension_marginal_point(
-        self, item: int, y: np.ndarray, cfg: EstimationConfig
-    ) -> ExtensionEstimate:
-        y_up = y.copy()
-        y_up[item] = 1.0
-        if not cfg.force_monte_carlo:
-            closed = self._closed_form_extension(y)
-            if closed is not None:
-                up = self._closed_form_extension(y_up)
-                return ExtensionEstimate(float(up) - float(closed), True, 0.0)
-            if self._n <= min(cfg.exact_threshold, _MAX_ENUMERATION_ITEMS):
-                value = self._enumeration_extension(y_up) - self._enumeration_extension(y)
-                return ExtensionEstimate(value, True, 0.0)
-        return self._monte_carlo_marginal(item, y, cfg)
+    def _estimate(self, y: np.ndarray, item: int | None = None) -> ExtensionEstimate:
+        """F(y), or with ``item`` its extension marginal, by the family's route.
+
+        Exact when ``_exact_extension`` answers, else seeded Monte Carlo.
+        """
+        value = self._exact_extension(y)
+        if value is None:
+            if item is None:
+                return self._monte_carlo_extension(y)
+            return self._monte_carlo_marginal(item, y)
+        if item is not None:
+            y_up = y.copy()
+            y_up[item] = 1.0
+            value = self._exact_extension(y_up) - value
+        return ExtensionEstimate(value, True, 0.0)
+
+    def _exact_extension(self, y: np.ndarray) -> float | None:
+        """F(y) by the closed form, else by enumeration on small ground sets, else None."""
+        closed = self._closed_form_extension(y)
+        if closed is not None:
+            return float(closed)
+        if self._n <= _ENUMERATION_ITEMS:
+            return self._enumeration_extension(y)
+        return None
 
     def _closed_form_extension(self, y: np.ndarray) -> float | None:
         """Closed-form F(y) if this family has one, else None."""
@@ -233,7 +215,7 @@ class ObjectiveOracle(ABC):
     def _subset_values(self) -> np.ndarray:
         # index is the bitmask of the subset, bit i <=> item i selected
         if self._subset_cache is None:
-            if self._n > _MAX_ENUMERATION_ITEMS:
+            if self._n > _ENUMERATION_ITEMS:
                 raise ValueError("ground set too large for full enumeration")
             values = np.empty(1 << self._n)
             for mask in range(1 << self._n):
@@ -242,22 +224,18 @@ class ObjectiveOracle(ABC):
             self._subset_cache = values
         return self._subset_cache
 
-    def _draw_selections(self, y: np.ndarray, cfg: EstimationConfig) -> np.ndarray:
-        if cfg.samples < 2:
-            raise ConfigError("Monte Carlo estimation needs at least two samples")
-        rng = np.random.default_rng(cfg.seed)
-        return rng.random((cfg.samples, self._n)) < y
+    def _draw_selections(self, y: np.ndarray) -> np.ndarray:
+        rng = np.random.default_rng(_MONTE_CARLO_SEED)
+        return rng.random((_MONTE_CARLO_SAMPLES, self._n)) < y
 
-    def _monte_carlo_extension(self, y: np.ndarray, cfg: EstimationConfig) -> ExtensionEstimate:
-        values = self._evaluate_selection_matrix(self._draw_selections(y, cfg))
+    def _monte_carlo_extension(self, y: np.ndarray) -> ExtensionEstimate:
+        values = self._evaluate_selection_matrix(self._draw_selections(y))
         stderr = float(values.std(ddof=1) / math.sqrt(values.size))
         return ExtensionEstimate(float(values.mean()), False, stderr)
 
-    def _monte_carlo_marginal(
-        self, item: int, y: np.ndarray, cfg: EstimationConfig
-    ) -> ExtensionEstimate:
+    def _monte_carlo_marginal(self, item: int, y: np.ndarray) -> ExtensionEstimate:
         # common random numbers: the same draws evaluate both terms
-        sel = self._draw_selections(y, cfg)
+        sel = self._draw_selections(y)
         sel_up = sel.copy()
         sel_up[:, item] = True
         diffs = self._evaluate_selection_matrix(sel_up) - self._evaluate_selection_matrix(sel)
@@ -320,6 +298,7 @@ class CoverageObjective(ObjectiveOracle):
         if len(element_names) != weights.size:
             raise InvalidInstance("one name per universe element required")
         self._element_names = tuple(element_names)
+        self._require_finite_total()
 
     def _evaluate_ids(self, ids: np.ndarray) -> float:
         if ids.size == 0:
@@ -327,12 +306,6 @@ class CoverageObjective(ObjectiveOracle):
         else:
             covered = self._incidence[:, ids].any(axis=1).astype(float)
         return float(self._weights @ covered)
-
-    def _marginal_ids(self, item: int, ids: np.ndarray) -> float:
-        gained = self._incidence[:, item].copy()
-        if ids.size:
-            gained &= ~self._incidence[:, ids].any(axis=1)
-        return float(self._weights @ gained.astype(float))
 
     def _marginals_ids(self, ids: np.ndarray) -> np.ndarray:
         # members gain nothing: every element they cover is already covered
@@ -349,10 +322,6 @@ class CoverageObjective(ObjectiveOracle):
     def _closed_form_gradient(self, y: np.ndarray) -> np.ndarray:
         # raising y_i to one covers every still-uncovered element of item i
         return (self._weights * self._uncovered(y)) @ self._incidence_f
-
-    def _evaluate_selection_matrix(self, selections: np.ndarray) -> np.ndarray:
-        covered = selections.astype(float) @ self._incidence.T.astype(float) > 0
-        return covered.astype(float) @ self._weights
 
     def to_spec(self) -> dict:
         elements = {
@@ -377,6 +346,7 @@ class ModularObjective(ObjectiveOracle):
         if not np.all(np.isfinite(weights)) or np.any(weights < 0):
             raise InvalidInstance("modular weights must be finite and non-negative")
         self._weights = weights
+        self._require_finite_total()
 
     @property
     def weights(self) -> np.ndarray:
@@ -384,9 +354,6 @@ class ModularObjective(ObjectiveOracle):
 
     def _evaluate_ids(self, ids: np.ndarray) -> float:
         return float(self._weights[ids].sum())
-
-    def _marginal_ids(self, item: int, ids: np.ndarray) -> float:
-        return float(self._weights[item])
 
     def _evaluate_rows(self, ids: np.ndarray) -> np.ndarray:
         # each row sums its gathered weights as _evaluate_ids does
@@ -402,9 +369,6 @@ class ModularObjective(ObjectiveOracle):
 
     def _closed_form_gradient(self, y: np.ndarray) -> np.ndarray:
         return self._weights * (1.0 - y)
-
-    def _evaluate_selection_matrix(self, selections: np.ndarray) -> np.ndarray:
-        return selections.astype(float) @ self._weights
 
     def to_spec(self) -> dict:
         return {"type": "modular", "weights": [float(w) for w in self._weights]}
@@ -429,27 +393,20 @@ class FacilityLocationObjective(ObjectiveOracle):
         if not np.all(np.isfinite(similarity)) or np.any(similarity < 0):
             raise InvalidInstance("similarity entries must be finite and non-negative")
         self._similarity = similarity
-        # items by rows, so each item's gain sums one contiguous row exactly
-        # as _marginal_ids sums its column copy
+        # items by rows, so each item's gain sums one contiguous row
         self._by_item = np.ascontiguousarray(similarity.T)
         self._order = np.argsort(-similarity, axis=1, kind="stable")
         self._sorted = np.take_along_axis(similarity, self._order, axis=1)
+        self._require_finite_total()
 
     def _evaluate_ids(self, ids: np.ndarray) -> float:
         if ids.size == 0:
             return 0.0
         return float(self._similarity[:, ids].max(axis=1).sum())
 
-    def _current(self, ids: np.ndarray) -> np.ndarray:
-        if ids.size == 0:
-            return np.zeros(self._similarity.shape[0])
-        return self._similarity[:, ids].max(axis=1)
-
-    def _marginal_ids(self, item: int, ids: np.ndarray) -> float:
-        return float(np.maximum(self._similarity[:, item] - self._current(ids), 0.0).sum())
-
     def _marginals_ids(self, ids: np.ndarray) -> np.ndarray:
-        return np.maximum(self._by_item - self._current(ids), 0.0).sum(axis=1)
+        current = self._similarity[:, ids].max(axis=1) if ids.size else 0.0
+        return np.maximum(self._by_item - current, 0.0).sum(axis=1)
 
     def _row_terms(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per row, in descending similarity order: y_(k), prod_{j<k} (1 - y_(j)), and the terms."""
@@ -469,14 +426,6 @@ class FacilityLocationObjective(ObjectiveOracle):
         gains = self._sorted * before * (1.0 - ys)
         gains[:, :-1] -= np.cumsum(terms[:, :0:-1], axis=1)[:, ::-1]
         return np.bincount(self._order.ravel(), weights=gains.ravel(), minlength=self._n)
-
-    def _evaluate_selection_matrix(self, selections: np.ndarray) -> np.ndarray:
-        out = np.empty(selections.shape[0])
-        for start in range(0, selections.shape[0], _BATCH_CHUNK):
-            block = selections[start : start + _BATCH_CHUNK]
-            masked = np.where(block[:, None, :], self._similarity[None, :, :], 0.0)
-            out[start : start + block.shape[0]] = masked.max(axis=2).sum(axis=1)
-        return out
 
     def to_spec(self) -> dict:
         return {

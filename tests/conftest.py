@@ -48,6 +48,22 @@ def random_coverage(rng: np.random.Generator, n: int) -> CoverageObjective:
     return CoverageObjective(n, weights, incidence)
 
 
+class NoClosedFormCoverage(CoverageObjective):
+    """Coverage with its closed forms hidden: a family without one, so its
+    extension is enumerated up to 16 items and sampled above."""
+
+    def _closed_form_extension(self, y):
+        return None
+
+    def _closed_form_gradient(self, y):
+        return None
+
+
+def no_closed_form_coverage(rng: np.random.Generator, n: int) -> NoClosedFormCoverage:
+    base = random_coverage(rng, n)
+    return NoClosedFormCoverage(n, base._weights, base._incidence)
+
+
 def random_modular(rng: np.random.Generator, n: int) -> ModularObjective:
     return ModularObjective(rng.uniform(0.25, 3.0, size=n))
 

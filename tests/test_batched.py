@@ -86,9 +86,13 @@ def instance_and_oracle(draw, disjoint: bool):
 
 
 def per_item_marginals(oracle: ObjectiveOracle, base) -> np.ndarray:
+    """The gains as f(S + i) - f(S), one evaluation pair per item."""
     members = set(base)
     return np.array(
-        [0.0 if i in members else oracle.marginal(i, base) for i in range(oracle.item_count)]
+        [
+            0.0 if i in members else oracle.evaluate(members | {i}) - oracle.evaluate(members)
+            for i in range(oracle.item_count)
+        ]
     )
 
 

@@ -102,7 +102,12 @@ class TestSolveCommands:
     @pytest.mark.parametrize("command", ["solve-rand", "solve-det", "solve-greedy", "oracle"])
     @pytest.mark.parametrize(
         "group, objective",
-        [({"alpha": math.nan}, {}), ({"beta": math.inf}, {}), ({}, {"weights": [math.nan, 2.0, 3.0]})],
+        [
+            ({"alpha": math.nan}, {}),
+            ({"beta": math.inf}, {}),
+            ({}, {"weights": [math.nan, 2.0, 3.0]}),
+            ({}, {"weights": [1e308, 1e308, 1e308]}),  # finite weights, f(V) overflows
+        ],
     )
     def test_non_finite_input_exits_2_with_one_error_line(self, capsys, tmp_path, command, group, objective):
         doc = {
@@ -118,6 +123,19 @@ class TestSolveCommands:
         code, out, err = run(capsys, command, "--instance", str(bad))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["solve-rand", "solve-det", "solve-greedy", "oracle"])
+    def test_budget_above_item_count_is_item_count(self, capsys, fixtures_dir, tmp_path, command):
+        outputs = []
+        for budget in (3, 10**400):
+            doc = json.loads((fixtures_dir / "toy3.json").read_text())
+            doc["budget"] = budget
+            path = tmp_path / f"budget{len(outputs)}.json"
+            path.write_text(json.dumps(doc))
+            code, out, _ = run(capsys, command, "--instance", str(path), "--format", "json")
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
 
     def test_trace_rejected_where_not_written(self, capsys, fixtures_dir, tmp_path):
         trace = tmp_path / "trace.ldjson"

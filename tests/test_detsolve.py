@@ -23,11 +23,17 @@ from fairsubmax import (
     group_counts,
     matroid_independent,
     membership,
+    objectives,
     pipage_round,
     solve_deterministic,
 )
 
-from conftest import random_coverage, random_disjoint_instance, toy3_oracle
+from conftest import (
+    no_closed_form_coverage,
+    random_coverage,
+    random_disjoint_instance,
+    toy3_oracle,
+)
 
 
 def make_instance(n, groups, b):
@@ -148,15 +154,32 @@ class TestPipage:
             assert solution.value >= solution.fractional_value.value - 1e-9
             assert solution.within_relaxed_bounds(inst)
 
-    def test_monte_carlo_rounding_stays_within_noise(self):
-        from fairsubmax import EstimationConfig, FacilityLocationObjective
+    def test_each_move_evaluates_the_extension_only_at_its_new_points(self, monkeypatch):
+        rng = np.random.default_rng(62)
+        phases = set()
+        for _ in range(20):
+            inst = random_disjoint_instance(rng, integral=bool(rng.integers(2)))
+            oracle = random_coverage(rng, inst.item_count)
+            y = continuous_greedy(inst, oracle, ContinuousGreedyConfig(delta=30))
+            calls = []
+            extension = oracle.extension
+            monkeypatch.setattr(oracle, "extension", lambda point: calls.append(1) or extension(point))
+            solution = pipage_round(y, inst, oracle)
+            swaps = solution.trace.swaps
+            # one call at the start, two candidate endpoints per swap, one lift
+            assert len(calls) == 1 + sum(2 if s.phase < 3 else 1 for s in swaps)
+            chained = [solution.fractional_value] + [s.after for s in swaps]
+            assert [s.before for s in swaps] == chained[: len(swaps)]
+            phases.update(s.phase for s in swaps)
+        assert phases == {1, 2, 3}
 
-        rng = np.random.default_rng(61)
-        inst = make_instance(5, [({0, 1, 2}, 1, 2), ({3, 4}, 0, 2)], 3)
-        oracle = FacilityLocationObjective(rng.uniform(0, 2, size=(6, 5)))
-        estimation = EstimationConfig(samples=3000, seed=2, force_monte_carlo=True)
-        y = np.array([0.6, 0.4, 0.3, 0.5, 0.2])
-        solution = pipage_round(y, inst, oracle, estimation)
+    def test_monte_carlo_rounding_stays_within_noise(self, monkeypatch):
+        # above 16 items a family without a closed form is sampled
+        monkeypatch.setattr(objectives, "_MONTE_CARLO_SAMPLES", 1000)
+        oracle = no_closed_form_coverage(np.random.default_rng(61), 17)
+        inst = make_instance(17, [(set(range(9)), 1, 4), (set(range(9, 17)), 0, 4)], 6)
+        y = np.linspace(0.1, 0.5, 17)
+        solution = pipage_round(y, inst, oracle)
         assert solution.within_relaxed_bounds(inst)
         for swap in solution.trace.swaps:
             assert not swap.after.exact

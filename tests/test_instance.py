@@ -214,8 +214,13 @@ class TestEnumeration:
         lambda: ModularObjective([1.0, math.inf]),
         lambda: CoverageObjective(2, [math.nan], np.array([[True, False]])),
         lambda: FacilityLocationObjective(np.array([[1.0, math.inf]])),
+        # finite entries whose f(V) overflows, rejected without a numpy warning
+        lambda: ModularObjective([1e308, 1e308, 1e308]),
+        lambda: CoverageObjective(2, [1e308, 1e308], np.eye(2, dtype=bool)),
+        lambda: FacilityLocationObjective(np.array([[1e308, 0.0], [1e308, 0.0]])),
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_modular_weight_validation(build):
     with pytest.raises(InvalidInstance):
         build()

@@ -6,15 +6,13 @@ import numpy as np
 import pytest
 
 from fairsubmax import (
-    ConfigError,
-    CoverageObjective,
-    EstimationConfig,
     FacilityLocationObjective,
     ModularObjective,
+    objectives,
     oracle_from_spec,
 )
 
-from conftest import random_coverage, random_modular, toy3_oracle
+from conftest import no_closed_form_coverage, random_coverage, random_modular, toy3_oracle
 
 
 class TestEvaluate:
@@ -85,9 +83,8 @@ class TestExtension:
                 assert est.exact
                 assert est.value == oracle.evaluate(np.flatnonzero(y))
 
-    def test_forced_monte_carlo_near_closed_form(self):
-        cfg = EstimationConfig(samples=100_000, seed=7, force_monte_carlo=True)
-        est = toy3_oracle().extension([0.5, 0.5, 0.0], cfg)
+    def test_monte_carlo_near_closed_form(self):
+        est = toy3_oracle()._monte_carlo_extension(np.array([0.5, 0.5, 0.0]))
         assert not est.exact and est.stderr > 0
         assert abs(est.value - 1.75) <= 3 * est.stderr
 
@@ -125,19 +122,18 @@ class TestExtension:
             enumerated = oracle._enumeration_extension(y)
             assert oracle.extension(y).value == pytest.approx(enumerated, abs=1e-12)
 
-    def test_facility_location_above_threshold_uses_monte_carlo(self):
+    def test_no_closed_form_enumerates_to_16_items_then_samples(self, monkeypatch):
+        monkeypatch.setattr(objectives, "_MONTE_CARLO_SAMPLES", 500)
         rng = np.random.default_rng(9)
-        oracle = FacilityLocationObjective(rng.uniform(0, 1, size=(4, 6)))
-        cfg = EstimationConfig(samples=4000, seed=1, force_monte_carlo=True)
-        est = oracle.extension(rng.random(6), cfg)
-        assert not est.exact and est.stderr > 0
+        for n, exact in ((16, True), (17, False)):
+            est = no_closed_form_coverage(rng, n).extension(rng.random(n))
+            assert est.exact is exact and (est.stderr > 0) is not exact
 
     def test_monte_carlo_agrees_with_enumeration(self):
         rng = np.random.default_rng(21)
         oracle = FacilityLocationObjective(rng.uniform(0, 1, size=(5, 6)))
         y = rng.random(6)
-        cfg = EstimationConfig(samples=20_000, seed=3, force_monte_carlo=True)
-        est = oracle.extension(y, cfg)
+        est = oracle._monte_carlo_extension(y)
         exact = oracle._enumeration_extension(y)
         assert abs(est.value - exact) <= 4 * est.stderr
 
@@ -155,13 +151,13 @@ class TestExtensionMarginal:
         est = ModularObjective([3, 2, 5]).extension_marginal(2, [0.3, 0.3, 0.4])
         assert est.exact and est.value == pytest.approx(3.0, abs=1e-12)
 
-    def test_monte_carlo_marginal_common_random_numbers(self):
+    def test_monte_carlo_marginal_common_random_numbers(self, monkeypatch):
+        monkeypatch.setattr(objectives, "_MONTE_CARLO_SAMPLES", 2000)
         rng = np.random.default_rng(13)
         oracle = random_coverage(rng, 6)
-        cfg = EstimationConfig(samples=5000, seed=17, force_monte_carlo=True)
         for i in range(6):
             y = rng.random(6)
-            est = oracle.extension_marginal(i, y, cfg)
+            est = oracle._monte_carlo_marginal(i, y)
             assert est.value >= -3 * est.stderr
 
     def test_exact_marginals_nonnegative(self):
@@ -185,41 +181,18 @@ class TestExtensionGradient:
                 gradient = oracle.extension_gradient(y)
                 np.testing.assert_allclose(gradient, expected, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("family", ["coverage", "modular", "facility", "no-closed-form"])
-    def test_sampled_or_enumerated_gradient_is_the_per_item_loop(self, family):
+    def test_enumerated_or_sampled_gradient_is_the_per_item_loop(self, monkeypatch):
+        monkeypatch.setattr(objectives, "_MONTE_CARLO_SAMPLES", 300)
         rng = np.random.default_rng(42)
-        for n in (2, 7, 12):
-            oracle = random_oracle(rng, family, n)
+        for n in (2, 7, 12, 17):  # enumeration up to 16 items, Monte Carlo above
+            oracle = no_closed_form_coverage(rng, n)
             y = random_point(rng, n)
-            cfgs = [EstimationConfig(samples=300, seed=n, force_monte_carlo=True)]
-            if family == "no-closed-form":
-                cfgs.append(EstimationConfig())  # n <= exact_threshold: enumeration
-                cfgs.append(EstimationConfig(samples=300, seed=n, exact_threshold=1))
-            for cfg in cfgs:
-                loop = [oracle.extension_marginal(i, y, cfg).value for i in range(n)]
-                assert np.array_equal(oracle.extension_gradient(y, cfg), loop)
+            loop = [oracle.extension_marginal(i, y).value for i in range(n)]
+            assert np.array_equal(oracle.extension_gradient(y), loop)
 
     def test_out_of_range_coordinate(self):
         with pytest.raises(ValueError):
             toy3_oracle().extension_gradient([0.5, 1.2, 0.0])
-
-    def test_monte_carlo_needs_two_samples(self):
-        cfg = EstimationConfig(samples=1, force_monte_carlo=True)
-        with pytest.raises(ConfigError):
-            toy3_oracle().extension_gradient([0.5, 0.5, 0.0], cfg)
-        # closed forms never sample, so the setting is not consulted
-        gradient = toy3_oracle().extension_gradient([0.5, 0.5, 0.0], EstimationConfig(samples=1))
-        assert gradient.size == 3
-
-
-class _EnumeratedCoverage(CoverageObjective):
-    """Coverage with its closed forms hidden: a family without one."""
-
-    def _closed_form_extension(self, y):
-        return None
-
-    def _closed_form_gradient(self, y):
-        return None
 
 
 def random_oracle(rng, family, n):
@@ -227,10 +200,7 @@ def random_oracle(rng, family, n):
         return random_coverage(rng, n)
     if family == "modular":
         return random_modular(rng, n)
-    if family == "facility":
-        return FacilityLocationObjective(rng.uniform(0, 2, size=(int(rng.integers(1, n + 2)), n)))
-    base = random_coverage(rng, n)
-    return _EnumeratedCoverage(n, base._weights, base._incidence)
+    return FacilityLocationObjective(rng.uniform(0, 2, size=(int(rng.integers(1, n + 2)), n)))
 
 
 def random_point(rng, n):
@@ -242,8 +212,9 @@ def random_point(rng, n):
 
 
 class TestProperties:
-    def test_monte_carlo_convergence_rate(self):
+    def test_monte_carlo_convergence_rate(self, monkeypatch):
         # |estimate - exact| <= 4 stderr on at least 99% of seeded trials
+        monkeypatch.setattr(objectives, "_MONTE_CARLO_SAMPLES", 500)
         rng = np.random.default_rng(100)
         hits = 0
         trials = 200
@@ -251,8 +222,8 @@ class TestProperties:
             oracle = random_coverage(rng, int(rng.integers(3, 8)))
             y = rng.random(oracle.item_count)
             exact = oracle.extension(y).value
-            cfg = EstimationConfig(samples=2000, seed=trial, force_monte_carlo=True)
-            est = oracle.extension(y, cfg)
+            monkeypatch.setattr(objectives, "_MONTE_CARLO_SEED", trial)
+            est = oracle._monte_carlo_extension(y)
             if abs(est.value - exact) <= 4 * est.stderr:
                 hits += 1
         assert hits >= int(0.99 * trials)
@@ -277,11 +248,11 @@ class TestProperties:
             checked += 1
 
     def test_marginal_determinism(self):
-        oracle = toy3_oracle()
-        cfg = EstimationConfig(samples=1000, seed=5, force_monte_carlo=True)
-        first = oracle.extension_marginal(0, [0.2, 0.4, 0.1], cfg)
-        second = oracle.extension_marginal(0, [0.2, 0.4, 0.1], cfg)
-        assert first == second
+        oracle = no_closed_form_coverage(np.random.default_rng(5), 17)
+        y = np.linspace(0.1, 0.9, 17)
+        first = oracle.extension_marginal(0, y)
+        second = oracle.extension_marginal(0, y)
+        assert not first.exact and first == second
 
 
 class TestSerialization:

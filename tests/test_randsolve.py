@@ -7,12 +7,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from fairsubmax import (
     ConfigError,
     DEFAULT_ENUMERATION_BUDGET,
     EllipsoidConfig,
     EnumerationBudgetExceeded,
+    FacilityLocationObjective,
     GroupSpec,
     InfeasibleInstance,
     Instance,
@@ -32,6 +36,7 @@ from fairsubmax.verify import _row_counts
 from conftest import (
     FIXTURES,
     random_coverage,
+    random_disjoint_instance,
     random_modular,
     random_overlapping_instance,
     toy3_oracle,
@@ -352,3 +357,61 @@ class TestPoolProperties:
             distribution, report = solve_randomized(inst, oracle)
             _, opt = brute_force_lp(inst, oracle)
             assert report.value <= opt + 1e-9
+
+
+def linprog_optimum(instance, oracle) -> float:
+    """The distribution optimum from scipy's HiGHS over every set of at most
+    ``b`` items: max sum_S p_S f(S) subject to the group windows on the
+    expected counts and sum_S p_S <= 1."""
+    n, budget = instance.item_count, instance.budget
+    sets = [s for k in range(min(budget, n) + 1) for s in itertools.combinations(range(n), k)]
+    values = np.array([oracle.evaluate(s) for s in sets])
+    counts = np.array([[len(g.members.intersection(s)) for s in sets] for g in instance.groups])
+    result = linprog(
+        -values,
+        A_ub=np.vstack([counts, -counts, np.ones((1, len(sets)))]),
+        b_ub=np.concatenate([instance.betas, -instance.alphas, [1.0]]),
+        bounds=(0, None),
+        method="highs",
+    )
+    assert result.status == 0
+    return -result.fun
+
+
+@st.composite
+def fuzz_case(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        instance = random_disjoint_instance(rng, n_max=6, b_max=4, integral=draw(st.booleans()))
+    else:
+        instance = random_overlapping_instance(rng, n_max=6, b_max=4)
+    n = instance.item_count
+    family = draw(st.sampled_from(("coverage", "modular", "facility_location")))
+    if family == "coverage":
+        oracle = random_coverage(rng, n)
+    elif family == "modular":
+        oracle = random_modular(rng, n)
+    else:
+        oracle = FacilityLocationObjective(rng.uniform(0, 2, size=(int(rng.integers(1, n + 2)), n)))
+    return instance, oracle
+
+
+class TestAgainstLinprog:
+    """solve_randomized against a reference LP that shares no code with it."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(fuzz_case())
+    def test_exact_is_optimal_and_heuristic_within_the_greedy_bound(self, case):
+        instance, oracle = case
+        opt = linprog_optimum(instance, oracle)
+        tol = 1e-7 * max(1.0, opt)
+        for mode in ("exact", "heuristic"):
+            distribution, report = solve_randomized(
+                instance, oracle, EllipsoidConfig(oracle_mode=mode)
+            )
+            audit = audit_distribution(distribution, instance, oracle)
+            assert audit.feasible and audit.budget_ok
+            if mode == "exact":
+                assert abs(report.value - opt) <= tol
+            else:
+                assert (1 - 1 / math.e) * opt - tol <= report.value <= opt + tol
