@@ -142,10 +142,14 @@ class ObjectiveOracle(ABC):
             count=selections.shape[0],
         )
 
+    def _total(self) -> float:
+        """f(V), the value of the whole ground set."""
+        return self._evaluate_ids(np.arange(self._n))
+
     def _require_finite_total(self) -> None:
         """Reject data whose f(V), the bound on every f(S) and F(y), overflows."""
         with np.errstate(over="ignore"):
-            total = self._evaluate_ids(np.arange(self._n))
+            total = self._total()
         if not math.isfinite(total):
             raise InvalidInstance(f"{self.kind} objective: f of the whole ground set is not finite")
 
@@ -306,6 +310,10 @@ class CoverageObjective(ObjectiveOracle):
         else:
             covered = self._incidence[:, ids].any(axis=1).astype(float)
         return float(self._weights @ covered)
+
+    def _total(self) -> float:
+        # the whole ground set covers what any item covers: no column copy
+        return float(self._weights @ self._incidence.any(axis=1).astype(float))
 
     def _marginals_ids(self, ids: np.ndarray) -> np.ndarray:
         # members gain nothing: every element they cover is already covered

@@ -226,6 +226,15 @@ def test_modular_weight_validation(build):
         build()
 
 
+def test_coverage_rejects_only_weight_some_item_covers():
+    # an element no item covers is outside f(V), so its weight cannot overflow it
+    incidence = np.array([[True, False], [False, True], [False, False]])
+    oracle = CoverageObjective(2, [1.0, 2.0, 1e308], incidence)
+    assert oracle._total() == oracle.evaluate(range(2)) == 3.0
+    with pytest.raises(InvalidInstance):
+        CoverageObjective(2, [1e308, 1e308, 1.0], incidence)
+
+
 def test_save_uses_shortest_round_trip_floats(tmp_path):
     inst = make_instance(2, [({0, 1}, 0.1, 1.7)], 1)
     path = tmp_path / "x.json"
