@@ -121,8 +121,10 @@ def continuous_greedy(
 
     y = np.zeros(n)
     for round_index in range(delta):
-        z = allocate_linear(oracle.extension_gradient(y), polytope)
-        y = y + step * z
+        # every step adds non-negative mass, so min(y, 1) is the point
+        # extension_gradient would check and clip
+        z = allocate_linear(oracle._gradient(np.minimum(y, 1.0)), polytope)
+        y += step * z
         if on_iteration is not None:
             on_iteration(
                 {
@@ -282,7 +284,7 @@ def fast_greedy(instance: Instance, oracle: ObjectiveOracle) -> DeterministicSol
     ):
         raise InfeasibleRelaxation("rounded fairness constraints admit no feasible set")
 
-    group_of = polytope.matrix.argmax(axis=1)  # each item's one group
+    group_of = polytope.group_of
     counts = np.zeros(len(floors), dtype=int)
     member = np.zeros(instance.item_count, dtype=bool)
     while True:

@@ -3,9 +3,11 @@
 Two solvers live here: a dense two-phase tableau simplex with Bland's rule
 for small general LPs, and a direct greedy allocation that maximizes a
 non-negative linear objective over the fairness polytope when the groups
-are disjoint and cover the ground set.  The greedy is the hot path of the
-continuous greedy solver; its optimality is cross-checked against the
-simplex by the test suite.
+are disjoint and cover the ground set.  The greedy sorts the weights once,
+best first with ties toward lower ids, and walks that order twice: once to
+fill each group's lower bound, once to spend the leftover budget.  It is
+the hot path of the continuous greedy solver; its optimality is
+cross-checked against the simplex by the test suite.
 """
 
 from __future__ import annotations
@@ -200,7 +202,9 @@ class FairnessPolytope:
     per group, the budget row ``sum_i y_i <= b`` (each item counts once,
     whatever groups it is in), and the box ``0 <= y <= 1``.  ``matrix`` is
     the (items x groups) 0/1 membership matrix every group count is read
-    from.
+    from.  The greedy allocation reads ``group_of`` (each item's group when
+    groups are disjoint), ``caps`` (each upper bound, at most the group's
+    size) and ``spare_budget`` (the budget left after every lower bound).
     """
 
     item_count: int
@@ -214,11 +218,15 @@ class FairnessPolytope:
         self.lowers = np.asarray(self.lowers, dtype=float)
         self.uppers = np.asarray(self.uppers, dtype=float)
         self.matrix = np.zeros((self.item_count, len(self.memberships)))
+        self.group_of = np.zeros(self.item_count, dtype=int)
         for t, members in enumerate(self.memberships):
             self.matrix[list(members), t] = 1.0
+            self.group_of[list(members)] = t
         groups_per_item = self.matrix.sum(axis=1)
         self.disjoint = bool(np.all(groups_per_item <= 1.0))
         self.covering = bool(np.all(groups_per_item >= 1.0))
+        self.caps = np.minimum(self.uppers, [len(g) for g in self.memberships])
+        self.spare_budget = float(self.budget) - float(self.lowers.sum())
 
     @classmethod
     def from_instance(cls, instance: "Instance") -> "FairnessPolytope":
@@ -269,12 +277,14 @@ def maximize_linear(weights, polytope: FairnessPolytope) -> np.ndarray:
     """Exactly maximize ``weights . y`` over the polytope by greedy allocation.
 
     Requires disjoint covering groups.  Negative weights (possible from
-    noisy marginal estimates) are clamped to zero.  Mass is first assigned
-    to each group's mandatory lower bound on its best-weighted items, then
-    the leftover budget flows one fractional unit at a time to the globally
-    best item whose group still has slack; ties break toward lower ids.
-    The result is a vertex with at most one fractional coordinate per group
-    plus at most one extra fractional coordinate overall.
+    noisy marginal estimates) are clamped to zero.  One stable sort orders
+    the items by weight, best first with ties toward lower ids.  A first
+    walk of that order fills each group's lower bound on its best items; a
+    second walk gives the leftover budget to each item in turn that is not
+    full and whose group still has slack, and stops at the first weight of
+    zero or below or when the budget is spent.  The result is a vertex with
+    at most one fractional coordinate per group plus at most one extra
+    fractional coordinate overall.
     """
     if not polytope.disjoint or not polytope.covering:
         raise GroupStructureError("greedy allocation needs disjoint covering groups")
@@ -289,62 +299,55 @@ def allocate_linear(weights: np.ndarray, polytope: FairnessPolytope) -> np.ndarr
     """The greedy allocation of ``maximize_linear`` without its checks.
 
     The caller guarantees disjoint covering groups, a non-empty polytope and
-    one float weight per item.
+    one float weight per item.  Both passes walk one stable sort of the
+    weights, best first with ties toward lower ids; restricted to a group
+    it is that group's own order, so every take is the one the per-group
+    formulation makes.
     """
-    if np.any(weights < 0):
-        logger.debug(
-            "clamping %d negative weights (min %.3e) to zero",
-            int((weights < 0).sum()),
-            float(weights.min()),
-        )
-        weights = np.maximum(weights, 0.0)
+    if logger.isEnabledFor(logging.DEBUG):
+        negative = weights < 0
+        if negative.any():
+            logger.debug(
+                "clamping %d negative weights (min %.3e) to zero",
+                int(negative.sum()),
+                float(weights.min()),
+            )
+    weights = np.maximum(weights, 0.0)
+    order = np.argsort(-weights, kind="stable").tolist()
+    w = weights.tolist()
+    group_of = polytope.group_of.tolist()
+    y = [0.0] * polytope.item_count
 
-    y = np.zeros(polytope.item_count)
-    orders = [
-        sorted(members, key=lambda i: (-weights[i], i)) for members in polytope.memberships
-    ]
-    group_mass = np.zeros(polytope.group_count)
-
-    for t, order in enumerate(orders):
-        remaining = float(polytope.lowers[t])
-        for i in order:
-            if remaining <= 0.0:
-                break
-            take = min(1.0, remaining)
+    # each group's lower bound on its best items, one unit at a time
+    remaining = polytope.lowers.tolist()
+    for i in order:
+        t = group_of[i]
+        if remaining[t] > 0.0:
+            take = min(1.0, remaining[t])
             y[i] = take
-            remaining -= take
-        group_mass[t] = float(polytope.lowers[t])
+            remaining[t] -= take
 
-    budget_left = float(polytope.budget) - float(polytope.lowers.sum())
-    caps = np.minimum(polytope.uppers, [len(g) for g in polytope.memberships])
-    pointers = [0] * polytope.group_count
-    while budget_left > FEAS_TOL:
-        best_item = -1
-        best_group = -1
-        for t, order in enumerate(orders):
-            if caps[t] - group_mass[t] <= FEAS_TOL:
-                continue
-            while pointers[t] < len(order) and y[order[pointers[t]]] >= 1.0 - FEAS_TOL:
-                pointers[t] += 1
-            if pointers[t] >= len(order):
-                continue
-            i = order[pointers[t]]
-            if weights[i] <= 0.0:
-                continue  # spending budget on zero weight gains nothing
-            if best_item < 0 or weights[i] > weights[best_item] or (
-                weights[i] == weights[best_item] and i < best_item
-            ):
-                best_item = i
-                best_group = t
-        if best_item < 0:
+    # the leftover budget to the best item that is not full and whose group
+    # has slack; each take fills the item, saturates its group or spends the
+    # budget, so one forward walk visits the items in the order they are taken
+    group_mass = polytope.lowers.tolist()
+    caps = polytope.caps.tolist()
+    budget_left = polytope.spare_budget
+    for i in order:
+        if budget_left <= FEAS_TOL:
             break
-        take = min(1.0 - y[best_item], caps[best_group] - group_mass[best_group], budget_left)
+        t = group_of[i]
+        if y[i] >= 1.0 - FEAS_TOL or caps[t] - group_mass[t] <= FEAS_TOL:
+            continue
+        if w[i] <= 0.0:
+            break  # spending budget on zero weight gains nothing
+        take = min(1.0 - y[i], caps[t] - group_mass[t], budget_left)
         if take <= FEAS_TOL:
             break
-        y[best_item] += take
-        group_mass[best_group] += take
+        y[i] += take
+        group_mass[t] += take
         budget_left -= take
-    return y
+    return np.array(y)
 
 
 def window_rows(counts, lowers, uppers) -> list[LinearConstraint]:

@@ -170,7 +170,10 @@ class ObjectiveOracle(ABC):
         vector expression; otherwise entry ``i`` equals
         ``extension_marginal(i, y).value`` bit for bit.
         """
-        y = self._check_point(y)
+        return self._gradient(self._check_point(y))
+
+    def _gradient(self, y: np.ndarray) -> np.ndarray:
+        """``extension_gradient`` at a point already checked and clipped to [0, 1]."""
         gradient = self._closed_form_gradient(y)
         if gradient is None:
             gradient = np.array([self._estimate(y, i).value for i in range(self._n)])
@@ -404,6 +407,7 @@ class FacilityLocationObjective(ObjectiveOracle):
         # items by rows, so each item's gain sums one contiguous row
         self._by_item = np.ascontiguousarray(similarity.T)
         self._order = np.argsort(-similarity, axis=1, kind="stable")
+        self._flat_order = self._order.ravel()
         self._sorted = np.take_along_axis(similarity, self._order, axis=1)
         self._require_finite_total()
 
@@ -417,11 +421,12 @@ class FacilityLocationObjective(ObjectiveOracle):
         return np.maximum(self._by_item - current, 0.0).sum(axis=1)
 
     def _row_terms(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per row, in descending similarity order: y_(k), prod_{j<k} (1 - y_(j)), and the terms."""
-        ys = y[self._order]
+        """Per row, in descending similarity order: 1 - y_(k), prod_{j<k} (1 - y_(j)), and the terms."""
+        ys = y.take(self._order)
+        missed = 1.0 - ys
         before = np.ones_like(ys)
-        before[:, 1:] = np.cumprod(1.0 - ys[:, :-1], axis=1)
-        return ys, before, self._sorted * ys * before
+        np.cumprod(missed[:, :-1], axis=1, out=before[:, 1:])
+        return missed, before, self._sorted * ys * before
 
     def _closed_form_extension(self, y: np.ndarray) -> float:
         # rows first, then over rows, as in _evaluate_ids: exact at 0/1 points
@@ -430,10 +435,10 @@ class FacilityLocationObjective(ObjectiveOracle):
     def _closed_form_gradient(self, y: np.ndarray) -> np.ndarray:
         # raising y_(p) to one makes s_(p) the row's value whenever no item
         # above p is drawn, which replaces term p and every term below it
-        ys, before, terms = self._row_terms(y)
-        gains = self._sorted * before * (1.0 - ys)
+        missed, before, terms = self._row_terms(y)
+        gains = self._sorted * before * missed
         gains[:, :-1] -= np.cumsum(terms[:, :0:-1], axis=1)[:, ::-1]
-        return np.bincount(self._order.ravel(), weights=gains.ravel(), minlength=self._n)
+        return np.bincount(self._flat_order, weights=gains.ravel(), minlength=self._n)
 
     def to_spec(self) -> dict:
         return {

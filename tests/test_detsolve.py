@@ -22,6 +22,7 @@ from fairsubmax import (
     fast_greedy,
     group_counts,
     matroid_independent,
+    maximize_linear,
     membership,
     objectives,
     pipage_round,
@@ -88,6 +89,21 @@ class TestContinuousGreedy:
         inst = make_instance(2, [({0}, 1, 1), ({1}, 1, 1)], 1)
         with pytest.raises(EmptyPolytope):
             continuous_greedy(inst, ModularObjective([1, 1]))
+
+    def test_fallback_point_is_the_extension_marginal_loop_bit_for_bit(self):
+        rng = np.random.default_rng(61)
+        for _ in range(3):
+            inst = random_disjoint_instance(rng, integral=False)
+            oracle = no_closed_form_coverage(rng, inst.item_count)
+            polytope = FairnessPolytope.from_instance(inst)
+            delta = 12
+            step = 1.0 / delta
+            y = np.zeros(inst.item_count)
+            for _ in range(delta):
+                gradient = [oracle.extension_marginal(i, y).value for i in range(inst.item_count)]
+                y = y + step * maximize_linear(gradient, polytope)
+            point = continuous_greedy(inst, oracle, ContinuousGreedyConfig(delta=delta))
+            assert np.array_equal(point, np.clip(y, 0.0, 1.0))
 
     def test_iteration_hook(self):
         records = []

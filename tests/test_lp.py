@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import logging
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairsubmax import (
     EmptyPolytope,
@@ -16,6 +21,7 @@ from fairsubmax import (
     polytope_linear_program,
     solve_simplex,
 )
+from fairsubmax.lp import FEAS_TOL
 
 
 def make_polytope(n, memberships, lowers, uppers, budget):
@@ -39,6 +45,87 @@ def random_laminar_polytope(rng: np.random.Generator, n_max=10, m_max=4):
     budget = int(np.ceil(lowers.sum())) + int(rng.integers(0, n + 1))
     budget = max(budget, 1)
     return make_polytope(n, [tuple(int(i) for i in p) for p in parts], lowers, uppers, budget)
+
+
+def per_group_allocation(weights: np.ndarray, polytope: FairnessPolytope) -> np.ndarray:
+    """The greedy allocation as one sort per group and a pointer per group.
+
+    Each unit of leftover budget goes to the best of the groups' first
+    non-full items.  Kept as the reference the single global order must
+    match bit for bit.
+    """
+    if np.any(weights < 0):
+        weights = np.maximum(weights, 0.0)
+
+    y = np.zeros(polytope.item_count)
+    orders = [
+        sorted(members, key=lambda i: (-weights[i], i)) for members in polytope.memberships
+    ]
+    group_mass = np.zeros(polytope.group_count)
+
+    for t, order in enumerate(orders):
+        remaining = float(polytope.lowers[t])
+        for i in order:
+            if remaining <= 0.0:
+                break
+            take = min(1.0, remaining)
+            y[i] = take
+            remaining -= take
+        group_mass[t] = float(polytope.lowers[t])
+
+    budget_left = float(polytope.budget) - float(polytope.lowers.sum())
+    caps = np.minimum(polytope.uppers, [len(g) for g in polytope.memberships])
+    pointers = [0] * polytope.group_count
+    while budget_left > FEAS_TOL:
+        best_item = -1
+        best_group = -1
+        for t, order in enumerate(orders):
+            if caps[t] - group_mass[t] <= FEAS_TOL:
+                continue
+            while pointers[t] < len(order) and y[order[pointers[t]]] >= 1.0 - FEAS_TOL:
+                pointers[t] += 1
+            if pointers[t] >= len(order):
+                continue
+            i = order[pointers[t]]
+            if weights[i] <= 0.0:
+                continue  # spending budget on zero weight gains nothing
+            if best_item < 0 or weights[i] > weights[best_item] or (
+                weights[i] == weights[best_item] and i < best_item
+            ):
+                best_item = i
+                best_group = t
+        if best_item < 0:
+            break
+        take = min(1.0 - y[best_item], caps[best_group] - group_mass[best_group], budget_left)
+        if take <= FEAS_TOL:
+            break
+        y[best_item] += take
+        group_mass[best_group] += take
+        budget_left -= take
+    return y
+
+
+@st.composite
+def laminar_allocations(draw):
+    """A disjoint covering polytope with fractional or integral windows, a
+    budget that may exceed the lower bounds, and weights with ties, zeros
+    and negatives.  Up to 24 items, since numpy sorts 16 or fewer by
+    insertion, which is stable whatever ``kind`` asks for."""
+    n = draw(st.integers(1, 24))
+    labels = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    memberships = [
+        tuple(i for i in range(n) if labels[i] == t) for t in sorted(set(labels))
+    ]
+    window = st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 3.0))
+    lowers, uppers = [], []
+    for members in memberships:
+        lower = min(draw(window), float(len(members)))
+        lowers.append(lower)
+        uppers.append(lower + draw(window))
+    budget = math.ceil(sum(lowers) - 1e-12) + draw(st.integers(0, n))
+    weight = st.one_of(st.integers(-1, 3).map(float), st.floats(-1.0, 3.0))
+    weights = draw(st.lists(weight, min_size=n, max_size=n))
+    return make_polytope(n, memberships, lowers, uppers, budget), np.array(weights)
 
 
 class TestMaximizeLinear:
@@ -76,10 +163,20 @@ class TestMaximizeLinear:
         with pytest.raises(GroupStructureError):
             maximize_linear([1, 1, 1], partial)
 
-    def test_negative_weights_clamped(self):
+    def test_negative_weights_clamped(self, caplog):
         poly = make_polytope(2, [(0,), (1,)], [0, 0], [1, 1], 2)
-        y = maximize_linear([-0.5, 1.0], poly)
+        with caplog.at_level(logging.DEBUG, logger="fairsubmax.lp"):
+            y = maximize_linear([-0.5, 1.0], poly)
         assert np.allclose(y, [0, 1])
+        assert "clamping 1 negative weights (min -5.000e-01)" in caplog.text
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(laminar_allocations())
+    def test_global_order_matches_per_group_pointers_bit_for_bit(self, case):
+        poly, weights = case
+        y = maximize_linear(weights, poly)
+        assert np.array_equal(y, per_group_allocation(weights, poly))
+        assert membership(y, poly)
 
     def test_matches_simplex_on_random_laminar_lps(self):
         rng = np.random.default_rng(77)
