@@ -421,7 +421,8 @@ class FacilityLocationObjective(ObjectiveOracle):
         return np.maximum(self._by_item - current, 0.0).sum(axis=1)
 
     def _row_terms(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per row, in descending similarity order: 1 - y_(k), prod_{j<k} (1 - y_(j)), and the terms."""
+        """Per row, in descending similarity order: 1 - y_(k),
+        prod_{j<k} (1 - y_(j)), and the terms."""
         ys = y.take(self._order)
         missed = 1.0 - ys
         before = np.ones_like(ys)
